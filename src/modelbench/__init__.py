@@ -1,13 +1,11 @@
-"""Desk-scale workbench for three executable model structures.
+"""Desk-scale workbench for executable model structures.
 
-Subpackages:
+Subpackages and modules:
     fincat    -- finite categories, functors, quivers, (co)limits
     lifting   -- generic orthogonality / retract / cell / model-axiom checkers
     catmodel  -- the natural model structure on Cat
     complexes -- bounded rational cochain complexes
-    dgalg     -- differential graded algebras
-    dgcat     -- small dg categories
-    cli       -- DSL parser/printer and command dispatch
+    linalg    -- exact linear algebra over the rationals
 
 Every decision procedure returns witnesses that can be re-verified by an
 independent brute-force or linear-algebra oracle.

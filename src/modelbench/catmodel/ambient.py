@@ -5,7 +5,6 @@ from __future__ import annotations
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.core import identity_functor
 from ..fincat.diagrams import CatDiagram, colimit
-from ..fincat.build import unit_category
 from ..lifting.core import Ambient
 
 
@@ -14,8 +13,6 @@ class CatAmbient(Ambient):
     enumerable, and functor sets are cached per (source, target) pair."""
 
     name = "Cat"
-    enumerative = True
-    constructive = False
 
     def __init__(self, guard=2_000_000):
         self.guard = guard
@@ -106,7 +103,6 @@ class CatAmbient(Ambient):
         """All commuting squares from the generators into f (the bounded
         index set of the small object argument)."""
         from ..lifting.search import enumerate_squares, find_lifting
-        from ..lifting.core import Square
         out = []
         for gen in generators:
             for sq in enumerate_squares(self, gen, f, guard=self.guard):

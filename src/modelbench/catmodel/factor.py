@@ -7,12 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fincat import FinCat, Functor, enumerate_functors
+from ..fincat.build import _pair, induced_category, induced_mor
 from .classify import FunctorClassification, classify
-from .interval import cylinder, hom_from_interval, _pair, _triple
-
-
-def _dmor(x, y, d):
-    return f"{x}>{y}:{d}"
+from .interval import cylinder, hom_from_interval, _triple
 
 
 @dataclass
@@ -38,31 +35,16 @@ def functor_cylinder_factorization(F: Functor) -> CylinderFactorization:
         """The D-object underlying a D' object."""
         return F.obj_map[o[4:]] if o.startswith("src/") else o[4:]
 
-    mors = []
-    under = {}
-    for o1 in objs:
-        for o2 in objs:
-            for d in D.hom(lower(o1), lower(o2)):
-                m = _dmor(o1, o2, d)
-                mors.append((m, o1, o2))
-                under[m] = d
-    ident = {o: _dmor(o, o, D.identity[lower(o)]) for o in objs}
-    comp = {}
-    for (g, gd, gc) in mors:
-        for (f, fd, fc) in mors:
-            if fc != gd:
-                continue
-            comp[(g, f)] = _dmor(fd, gc, D.compose(under[g], under[f]))
-    dprime = FinCat(f"cyl({F.name})", objs, mors, ident, comp)
+    dprime, under = induced_category(f"cyl({F.name})", objs, lower, D)
 
     j = Functor("j", C, dprime,
                 {x: src[x] for x in C.objects},
-                {m: _dmor(src[C.dom[m]], src[C.cod[m]], F.mor_map[m])
+                {m: induced_mor(src[C.dom[m]], src[C.cod[m]], F.mor_map[m])
                  for m in C.morphism_ids})
     p = Functor("p", dprime, D, {o: lower(o) for o in objs}, dict(under))
     inc = Functor("inc", D, dprime,
                   {y: tgt[y] for y in D.objects},
-                  {m: _dmor(tgt[D.dom[m]], tgt[D.cod[m]], m) for m in D.morphism_ids})
+                  {m: induced_mor(tgt[D.dom[m]], tgt[D.cod[m]], m) for m in D.morphism_ids})
     out = CylinderFactorization(F, dprime, j, p, inc, classify(j), classify(p))
     composite = j.then(p)
     if composite.obj_map != F.obj_map or composite.mor_map != F.mor_map:
@@ -100,33 +82,15 @@ def functor_cocylinder_factorization(F: Functor) -> CocylinderFactorization:
                 t = _triple(c, a, D.cod[a])
                 objs.append(t)
                 data[t] = (c, a, D.cod[a])
-    mors = []
-    under = {}
-    for t1 in objs:
-        for t2 in objs:
-            for f in C.hom(data[t1][0], data[t2][0]):
-                m = _dmor(t1, t2, f)
-                mors.append((m, t1, t2))
-                under[m] = f
-    ident = {t: _dmor(t, t, C.identity[data[t][0]]) for t in objs}
-    comp = {}
-    for (g, gd, gc) in mors:
-        for (f, fd, fc) in mors:
-            if fc != gd:
-                continue
-            comp[(g, f)] = _dmor(fd, gc, C.compose(under[g], under[f]))
-    cprime = FinCat(f"cocyl({F.name})", objs, mors, ident, comp)
+    cprime, under = induced_category(f"cocyl({F.name})", objs, lambda t: data[t][0], C)
 
-    iota = Functor(
-        "iota", C, cprime,
-        {c: _triple(c, D.identity[F.obj_map[c]], F.obj_map[c]) for c in C.objects},
-        {m: _dmor(_triple(C.dom[m], D.identity[F.obj_map[C.dom[m]]], F.obj_map[C.dom[m]]),
-                  _triple(C.cod[m], D.identity[F.obj_map[C.cod[m]]], F.obj_map[C.cod[m]]),
-                  m)
-         for m in C.morphism_ids})
+    iota_obj = {c: _triple(c, D.identity[F.obj_map[c]], F.obj_map[c]) for c in C.objects}
+    iota = Functor("iota", C, cprime, iota_obj,
+                   {m: induced_mor(iota_obj[C.dom[m]], iota_obj[C.cod[m]], m)
+                    for m in C.morphism_ids})
     q_obj = {t: data[t][2] for t in objs}
     q_mor = {}
-    for (m, t1, t2) in mors:
+    for (m, t1, t2) in cprime.morphisms:
         a1, a2 = data[t1][1], data[t2][1]
         q_mor[m] = D.compose(D.compose(a2, F.mor_map[under[m]]), D.inverse_of(a1))
     q = Functor("q", cprime, D, q_obj, q_mor)
@@ -167,7 +131,7 @@ def cylinder_pushout_check(F: Functor, test_categories, guard=2_000_000) -> Univ
     for (pm, pd, pc) in cyl.cyl.morphisms:
         # product morphism (f, w): image is represented by F(f)
         f = cyl.pr.mor_map[pm]
-        h_mor[pm] = _dmor(h_obj[pd], h_obj[pc], F.mor_map[f])
+        h_mor[pm] = induced_mor(h_obj[pd], h_obj[pc], F.mor_map[f])
     H = Functor("H", cyl.cyl, fac.dprime, h_obj, h_mor)
     if not H.validate().ok:
         raise AssertionError("remark homotopy H is not a functor")

@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fincat import FinCat, Functor, coproduct, interval_category, product
+from ..fincat.build import _pair
 from .classify import FunctorClassification, classify
-
-
-def _pair(x, y):
-    return f"({x},{y})"
 
 
 @dataclass

@@ -17,12 +17,10 @@ from .linalg import (
     Vec,
     column_space_basis,
     frac,
-    hstack,
     mat_mul,
     mat_vec,
     nullspace,
     rank,
-    rref,
     solve,
     zeros,
 )
@@ -59,9 +57,6 @@ class Complex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def interior(self):
-        return range(self.lo + 1, self.hi)
-
     def validate(self):
         failures = []
         for n, m in self.d.items():
@@ -74,9 +69,6 @@ class Complex:
             if any(any(x for x in row) for row in prod):
                 failures.append(f"d^{n+1} d^{n} != 0")
         return (not failures, failures)
-
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def __repr__(self):
         return f"Complex({self.name!r}, window={self.window}, dims={self.dims})"
@@ -147,12 +139,6 @@ def identity_chain_map(X: Complex) -> ChainMap:
     comps = {n: [[Fraction(1 if i == j else 0) for j in range(X.dim(n))]
                  for i in range(X.dim(n))] for n in X.degrees() if X.dim(n)}
     return ChainMap(X, X, comps, name=f"id_{X.name}")
-
-
-def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    comps = {n: mat_mul(g.component(n), f.component(n))
-             for n in f.source.degrees()}
-    return ChainMap(f.source, g.target, comps, name=f"{g.name}.{f.name}")
 
 
 # -- cohomology -----------------------------------------------------------

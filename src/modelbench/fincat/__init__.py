@@ -7,7 +7,6 @@ from .build import (
     interval_category,
     product,
     coproduct,
-    opposite,
 )
 from .enumfun import (
     GuardExceeded,
@@ -25,7 +24,7 @@ from .diagrams import CatDiagram, CatPresentation, limit, colimit_presentation, 
 __all__ = [
     "FinCat", "Functor", "NatTransf", "ValidationReport",
     "empty_category", "unit_category", "discrete_category", "k_category",
-    "interval_category", "product", "coproduct", "opposite",
+    "interval_category", "product", "coproduct",
     "GuardExceeded", "enumerate_functors", "enumerate_nat_transfs",
     "natural_isos", "find_category_isomorphism", "is_equivalence_structural",
     "find_quasi_inverse",

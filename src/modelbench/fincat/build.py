@@ -1,7 +1,8 @@
-"""Standard finite categories and binary (co)products.
+"""Standard finite categories, binary (co)products and induced categories.
 
 Naming: product cells are "(x,y)"; disjoint unions rename through "left/"
-and "right/" prefixes so textual collisions are impossible.
+and "right/" prefixes so textual collisions are impossible; a morphism
+s -> t of an induced category over d is "s>t:d".
 """
 
 from __future__ import annotations
@@ -95,7 +96,29 @@ def coproduct(C: FinCat, D: FinCat, name=None) -> FinCat:
     return FinCat(name or f"{C.name}+{D.name}", objs, mors, ident, comp)
 
 
-def opposite(C: FinCat, name=None) -> FinCat:
-    mors = [(m, c, d) for (m, d, c) in C.morphisms]
-    comp = {(f, g): h for (g, f), h in C.compose_table.items()}
-    return FinCat(name or f"{C.name}^op", list(C.objects), mors, dict(C.identity), comp)
+def induced_mor(x, y, d):
+    return f"{x}>{y}:{d}"
+
+
+def induced_category(name, objects, phi, E: FinCat) -> tuple[FinCat, dict]:
+    """The category on `objects` with Hom(s, t) = E(phi(s), phi(t)), and
+    identities and composition taken in E.  The morphism s -> t over d is
+    named induced_mor(s, t, d); the returned dict maps it to d."""
+    objs = list(objects)
+    base = {x: phi(x) for x in objs}
+    mors = []
+    under = {}
+    for x in objs:
+        for y in objs:
+            for d in E.hom(base[x], base[y]):
+                m = induced_mor(x, y, d)
+                mors.append((m, x, y))
+                under[m] = d
+    ident = {x: induced_mor(x, x, E.identity[base[x]]) for x in objs}
+    comp = {}
+    for (g, gd, gc) in mors:
+        for (f, fd, fc) in mors:
+            if fc != gd:
+                continue
+            comp[(g, f)] = induced_mor(fd, gc, E.compose(under[g], under[f]))
+    return FinCat(name, objs, mors, ident, comp), under

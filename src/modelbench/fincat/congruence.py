@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FinCat, Functor, ValidationReport
+from .build import induced_category, induced_mor
+from .core import FinCat, Functor
 from .enumfun import is_equivalence_structural
 
 
@@ -55,12 +56,6 @@ class HomCongruence:
             for (g, gd, _) in C.morphisms:
                 if gd == c:
                     queue.append((C.compose(g, a), C.compose(g, b)))
-
-    def equivalent(self, a, b) -> bool:
-        return self._find(a) == self._find(b)
-
-    def rep(self, m):
-        return self._find(m)
 
     def classes(self):
         out: dict[str, list[str]] = {}
@@ -163,34 +158,15 @@ class ImageFactorization:
         return self.f1.then(self.f2)
 
 
-def _cf_mor(x, y, d):
-    return f"{x}>{y}:{d}"
-
-
 def image_factorization(F: Functor) -> ImageFactorization:
     """F = F2 o F1 through C_F, which has Obj(C) and the target's Hom sets
     between images; F2 lands equivalently onto the essential image."""
     C, D = F.source, F.target
     objs = list(C.objects)
-    mors = []
-    under = {}
-    for x in objs:
-        for y in objs:
-            for d in D.hom(F.obj_map[x], F.obj_map[y]):
-                mid = _cf_mor(x, y, d)
-                mors.append((mid, x, y))
-                under[mid] = d
-    ident = {x: _cf_mor(x, x, D.identity[F.obj_map[x]]) for x in objs}
-    comp = {}
-    for (g, gd, gc) in mors:
-        for (f, fd, fc) in mors:
-            if fc != gd:
-                continue
-            comp[(g, f)] = _cf_mor(fd, gc, D.compose(under[g], under[f]))
-    c_f = FinCat(f"C_{F.name}", objs, mors, ident, comp)
+    c_f, under = induced_category(f"C_{F.name}", objs, lambda x: F.obj_map[x], D)
     f1 = Functor(f"{F.name}_1", C, c_f,
                  {x: x for x in objs},
-                 {m: _cf_mor(C.dom[m], C.cod[m], F.mor_map[m]) for m in C.morphism_ids})
+                 {m: induced_mor(C.dom[m], C.cod[m], F.mor_map[m]) for m in C.morphism_ids})
     f2 = Functor(f"{F.name}_2", c_f, D,
                  {x: F.obj_map[x] for x in objs}, dict(under))
     image = F.essential_image()

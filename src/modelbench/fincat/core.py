@@ -46,21 +46,11 @@ class FinCat:
     def hom(self, x, y):
         return self._hom.get((x, y), [])
 
-    def id_of(self, x):
-        return self.identity[x]
-
     def compose(self, g, f):
         """g after f; raises KeyError when not composable."""
         if self.cod[f] != self.dom[g]:
             raise KeyError(f"not composable: {g} o {f}")
         return self.compose_table[(g, f)]
-
-    def compose_path(self, mors):
-        """Compose a list given in composition order: [g, f] means g o f."""
-        out = mors[0]
-        for f in mors[1:]:
-            out = self.compose(out, f)
-        return out
 
     def __repr__(self):
         return f"FinCat({self.name!r}, {len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -132,9 +122,6 @@ class FinCat:
     def is_iso(self, f) -> bool:
         return self.inverse_of(f) is not None
 
-    def isos(self):
-        return [m for m in self.morphism_ids if self.is_iso(m)]
-
     def isomorphic_objects(self, x, y) -> bool:
         return any(self.is_iso(f) for f in self.hom(x, y))
 
@@ -165,15 +152,6 @@ class Functor:
         self.target = target
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
-
-    def on_obj(self, x):
-        return self.obj_map[x]
-
-    def on_mor(self, f):
-        return self.mor_map[f]
-
-    def __call__(self, f):
-        return self.mor_map[f] if f in self.mor_map else self.obj_map[f]
 
     def __repr__(self):
         return f"Functor({self.name!r}: {self.source.name} -> {self.target.name})"

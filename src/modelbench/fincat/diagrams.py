@@ -226,7 +226,7 @@ def colimit_presentation(D: CatDiagram, saturation_cap=10_000) -> CatPresentatio
 
 @dataclass
 class SaturationResult:
-    status: str                      # "total" or "possibly_infinite"
+    status: str                      # "total", "possibly_infinite" or "census"
     category: FinCat | None
     class_count: int
     explored_len: int

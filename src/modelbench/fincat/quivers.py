@@ -9,21 +9,15 @@ from .enumfun import enumerate_functors
 
 
 class Quiver:
-    """Directed multigraph; `degrees` is used by the graded variants."""
+    """Directed multigraph: vertices and arrows (id, source, target)."""
 
-    def __init__(self, name, vertices, arrows, degrees=None):
+    def __init__(self, name, vertices, arrows):
         self.name = name
         self.vertices = list(vertices)
         self.arrows = [(a, s, t) for (a, s, t) in arrows]
-        self.src = {a: s for (a, s, t) in self.arrows}
-        self.tgt = {a: t for (a, s, t) in self.arrows}
-        self.degrees = dict(degrees) if degrees else None
         for (a, s, t) in self.arrows:
             if s not in self.vertices or t not in self.vertices:
                 raise ValueError(f"arrow {a} has endpoints outside the vertex set")
-
-    def arrow_ids(self):
-        return [a for (a, _, _) in self.arrows]
 
     def is_acyclic(self) -> bool:
         color = {v: 0 for v in self.vertices}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Ambient, ModelTriple
-from .search import find_retract, is_orthogonal
+from .search import find_retract
 
 
 @dataclass
@@ -37,17 +37,13 @@ class ModelAxiomReport:
     def ok(self):
         return all(e.ok for e in self.entries)
 
-    def failures(self):
-        return [e for e in self.entries if not e.ok]
-
 
 def _classes(triple: ModelTriple):
     return [("Cof", triple.cof), ("We", triple.we), ("Fib", triple.fib)]
 
 
 def check_model_axioms(a: Ambient, triple: ModelTriple, corpus,
-                       guard=None, check_retracts=True,
-                       factorizations=None) -> ModelAxiomReport:
+                       guard=None, factorizations=None) -> ModelAxiomReport:
     """corpus: finite list of morphisms.  `factorizations(f)` returns
     ((i, p), (j, q)) realizing MC5 for f, or None to skip MC5 for f."""
     report = ModelAxiomReport()
@@ -97,33 +93,30 @@ def check_model_axioms(a: Ambient, triple: ModelTriple, corpus,
         report.add("MC1-composition", "ok", f"{pairs} composable pairs")
 
     # MC2: closure under retracts
-    if check_retracts and a.enumerative:
-        fail = None
-        checked = 0
-        for f in corpus:
-            for f2 in corpus:
-                if f is f2:
-                    continue
-                needed = [
-                    (cname, ctest) for cname, ctest in _classes(triple)
-                    if ctest(f2) and not ctest(f)
-                ]
-                if not needed:
-                    continue
-                w = find_retract(a, f, f2, guard=guard)
-                checked += 1
-                if w is not None:
-                    fail = (needed[0][0], f, f2, w)
-                    break
-            if fail:
+    fail = None
+    checked = 0
+    for f in corpus:
+        for f2 in corpus:
+            if f is f2:
+                continue
+            needed = [
+                (cname, ctest) for cname, ctest in _classes(triple)
+                if ctest(f2) and not ctest(f)
+            ]
+            if not needed:
+                continue
+            w = find_retract(a, f, f2, guard=guard)
+            checked += 1
+            if w is not None:
+                fail = (needed[0][0], f, f2, w)
                 break
         if fail:
-            report.add("MC2-retracts", "fail",
-                       f"{fail[0]} not closed under retracts", (fail[1], fail[2]))
-        else:
-            report.add("MC2-retracts", "ok", f"{checked} candidate pairs searched")
+            break
+    if fail:
+        report.add("MC2-retracts", "fail",
+                   f"{fail[0]} not closed under retracts", (fail[1], fail[2]))
     else:
-        report.add("MC2-retracts", "sampled", "retract search skipped (non-enumerative ambient)")
+        report.add("MC2-retracts", "ok", f"{checked} candidate pairs searched")
 
     # MC3: two out of three for weak equivalences
     fail = None

@@ -1,10 +1,10 @@
 """Generic lifting machinery, parameterized over an ambient category.
 
-An Ambient wraps one of the three instances (finite categories, dg algebras,
-small dg categories) behind a small morphism-level interface.  Enumerative
-ambients expose `morphisms_between`; constructive ambients expose
-`constructive_lift`.  All certificates carry enough data to be re-verified
-against the ambient alone.
+An Ambient wraps a category of models (so far finite categories, through
+`CatAmbient`) behind a small morphism-level interface: equality,
+composition, identities, and enumeration of the morphisms between two
+objects.  All certificates carry enough data to be re-verified against the
+ambient alone.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ class Ambient:
     values; the ambient interprets them."""
 
     name = "ambient"
-    enumerative = False     # supports morphisms_between
-    constructive = False    # supports constructive_lift
 
     def equal(self, f, g) -> bool:
         raise NotImplementedError
@@ -39,7 +37,7 @@ class Ambient:
     def is_iso(self, f) -> bool:
         raise NotImplementedError
 
-    # -- enumerative capabilities ----------------------------------------
+    # -- enumeration -----------------------------------------------------
 
     def morphisms_between(self, x, y, guard=None):
         raise NotImplementedError
@@ -49,12 +47,6 @@ class Ambient:
         morphisms cod(left) -> dom(right)."""
         return self.morphisms_between(self.cod(square.left), self.dom(square.right),
                                       guard=guard)
-
-    # -- constructive capabilities ---------------------------------------
-
-    def constructive_lift(self, square):
-        """Either a lift or None, produced by instance-specific algebra."""
-        raise NotImplementedError
 
     # -- colimit-flavoured capabilities (bounded) ------------------------
 
@@ -80,8 +72,7 @@ class Ambient:
             if not res.orthogonal:
                 res.squares_checked = total
                 return res
-        from .search import OrthogonalityResult as OR
-        return OR(True, None, total)
+        return OrthogonalityResult(True, None, total)
 
 
 @dataclass

@@ -16,20 +16,10 @@ class OrthogonalityResult:
 
 def find_lifting(square: Square, guard=None) -> LiftWitness | None:
     """A verified diagonal for the square, or None after exhausting the
-    ambient's candidates (enumerative) / construction (constructive)."""
+    ambient's lift candidates."""
     if not square.commutes():
         raise ValueError("square does not commute")
-    a = square.ambient
-    if a.constructive:
-        h = a.constructive_lift(square)
-        if h is not None:
-            w = LiftWitness(square, h)
-            if not w.verify():
-                raise AssertionError("constructive lift failed verification")
-            return w
-        if not a.enumerative:
-            return None
-    for h in a.lift_candidates(square, guard=guard):
+    for h in square.ambient.lift_candidates(square, guard=guard):
         if square.admits(h):
             return LiftWitness(square, h)
     return None

@@ -21,10 +21,6 @@ def zeros(m: int, n: int) -> Mat:
     return [[Fraction(0)] * n for _ in range(m)]
 
 
-def identity(n: int) -> Mat:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def shape(a: Mat) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -69,23 +65,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     if n != len(v):
         raise ValueError("shape mismatch in mat_vec")
     return [sum((a[i][k] * v[k] for k in range(n) if v[k]), Fraction(0)) for i in range(m)]
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return shape(a) == shape(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_mat(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def transpose(a: Mat) -> Mat:
@@ -157,95 +136,8 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     return x
 
 
-def solve_affine(a: Mat, b: Vec) -> tuple[Vec, list[Vec]] | None:
-    """Full solution set of a x = b as (particular, kernel basis)."""
-    x = solve(a, b)
-    if x is None:
-        return None
-    return x, nullspace(a)
-
-
 def column_space_basis(a: Mat) -> list[Vec]:
     """Columns of `a` forming a basis of its image (original columns)."""
     _, pivots = rref(a)
     cols = transpose(a)
     return [cols[j] for j in pivots]
-
-
-def hstack(*mats: Mat) -> Mat:
-    ms = [m for m in mats if shape(m)[1] > 0 or shape(m)[0] > 0]
-    if not ms:
-        return []
-    rows = shape(ms[0])[0]
-    if any(shape(m)[0] != rows for m in ms):
-        raise ValueError("hstack row mismatch")
-    return [sum((m[i] for m in ms), []) for i in range(rows)]
-
-
-def vstack(*mats: Mat) -> Mat:
-    return [row[:] for m in mats for row in m]
-
-
-class SpanEchelon:
-    """Incremental echelon basis of a subspace, for sparse vectors keyed by
-    arbitrary hashable indices.  Key order fixes the pivot order."""
-
-    def __init__(self, key_order=None):
-        # pivot key -> reduced vector (dict key->Fraction, pivot coeff 1)
-        self.rows: dict = {}
-        self._key_rank = {}
-        if key_order is not None:
-            self._key_rank = {k: i for i, k in enumerate(key_order)}
-
-    def _rank_of(self, k):
-        r = self._key_rank.get(k)
-        return (0, r) if r is not None else (1, repr(k))
-
-    def reduce(self, vec: dict) -> dict:
-        """Reduce vec modulo the current span (vec is not mutated)."""
-        v = {k: frac(c) for k, c in vec.items() if c}
-        for k in sorted(v, key=self._rank_of):
-            if k not in v:
-                continue
-            row = self.rows.get(k)
-            if row is None:
-                continue
-            c = v[k]
-            for kk, cc in row.items():
-                nv = v.get(kk, Fraction(0)) - c * cc
-                if nv:
-                    v[kk] = nv
-                else:
-                    v.pop(kk, None)
-        return v
-
-    def add(self, vec: dict) -> bool:
-        """Insert vec into the span; returns True if the span grew."""
-        v = self.reduce(vec)
-        if not v:
-            return False
-        pivot = min(v, key=self._rank_of)
-        inv = Fraction(1) / v[pivot]
-        v = {k: c * inv for k, c in v.items()}
-        # back-substitute into existing rows
-        for pk, row in self.rows.items():
-            c = row.get(pivot)
-            if c:
-                for kk, cc in v.items():
-                    nv = row.get(kk, Fraction(0)) - c * cc
-                    if nv:
-                        row[kk] = nv
-                    else:
-                        row.pop(kk, None)
-        self.rows[pivot] = v
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def pivot_keys(self):
-        return set(self.rows)

@@ -1,9 +1,18 @@
 import pytest
 
-from modelbench.catmodel import CatAmbient, classify, empty_to_unit, inc0, k0_to_k1, k2_to_k1
+from modelbench.catmodel import (
+    CatAmbient,
+    classify,
+    empty_to_unit,
+    generating_cofibrations,
+    inc0,
+    k0_to_k1,
+    k2_to_k1,
+)
 from modelbench.fincat import (
     Functor,
     empty_category,
+    enumerate_functors,
     interval_category,
     k_category,
     unit_category,
@@ -17,6 +26,7 @@ from modelbench.lifting import (
     find_lifting,
     find_retract,
     is_orthogonal,
+    small_object_factorization,
 )
 from modelbench.lifting.homotopy import CylinderData, PathData, cylinder_homotopy_check, path_homotopy_check
 from modelbench.catmodel.interval import cylinder, path_object
@@ -203,3 +213,23 @@ def test_path_homotopy_check_matches_cylinder():
     data = PathData(po.const, po.p0, po.p1)
     assert path_homotopy_check(AMB, F, G, data) is not None
     assert path_homotopy_check(AMB, F, F, data) is not None
+
+
+SOA_CATS = {"0": empty_category, "1": unit_category,
+            "K0": lambda: k_category(0), "K1": lambda: k_category(1)}
+
+
+@pytest.mark.parametrize("source,target,index,stages", [
+    ("0", "0", 0, 0), ("1", "1", 0, 0),
+    ("0", "1", 0, 1), ("0", "K0", 0, 1), ("1", "K0", 0, 1), ("1", "K0", 1, 1),
+    ("0", "K1", 0, 2), ("1", "K1", 0, 2), ("1", "K1", 1, 2),
+])
+def test_small_object_factorization(source, target, index, stages):
+    # the index-th functor source -> target in enumeration order
+    F = enumerate_functors(SOA_CATS[source](), SOA_CATS[target]())[index]
+    gens = generating_cofibrations()
+    res = small_object_factorization(AMB, gens, F, max_stages=3)
+    assert [res.status, res.stages_used] == ["factored", stages]
+    assert len(res.witness.stages) == stages
+    assert AMB.equal(AMB.compose(res.p, res.i), F)
+    assert AMB.in_generators_perp(gens, res.p).orthogonal

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from modelbench.linalg import (
-    SpanEchelon,
     mat,
     mat_mul,
     mat_vec,
@@ -9,7 +8,6 @@ from modelbench.linalg import (
     rank,
     rref,
     solve,
-    solve_affine,
 )
 
 
@@ -33,7 +31,6 @@ def test_solve_and_nullspace():
 def test_solve_inconsistent():
     a = mat([[1, 1], [1, 1]])
     assert solve(a, [Fraction(0), Fraction(1)]) is None
-    assert solve_affine(a, [Fraction(0), Fraction(1)]) is None
 
 
 def test_mat_mul_identity():
@@ -42,18 +39,3 @@ def test_mat_mul_identity():
     assert mat_mul(a, i) == a
     assert mat_mul(i, a) == a
 
-
-def test_span_echelon_membership():
-    sp = SpanEchelon()
-    assert sp.add({"x": 1, "y": 2})
-    assert sp.add({"y": 1, "z": 1})
-    assert not sp.add({"x": 1, "y": 3, "z": 1})   # dependent
-    assert sp.dim == 2
-    assert sp.contains({"x": 2, "y": 4})
-    assert not sp.contains({"z": 1})
-
-
-def test_span_echelon_key_order_determinism():
-    sp = SpanEchelon(key_order=["a", "b", "c"])
-    sp.add({"c": 1, "a": 2})
-    assert set(sp.pivot_keys()) == {"a"}
