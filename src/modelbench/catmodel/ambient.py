@@ -15,6 +15,7 @@ class CatAmbient(Ambient):
     name = "Cat"
 
     def __init__(self, guard=2_000_000):
+        super().__init__()
         self.guard = guard
         self._fun_cache: dict = {}
 

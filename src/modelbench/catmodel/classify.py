@@ -61,6 +61,11 @@ def is_isofibration(F: Functor) -> bool:
 
 
 def classify(F: Functor) -> FunctorClassification:
+    """The classification of F, computed and invariant-checked on the first
+    call and then kept on the (immutable) functor instance."""
+    cached = getattr(F, "_classification", None)
+    if cached is not None:
+        return cached
     cls = FunctorClassification(
         injection=F.is_injective_on_objects(),
         equivalence=is_equivalence_structural(F),
@@ -76,4 +81,5 @@ def classify(F: Functor) -> FunctorClassification:
         raise AssertionError(
             f"classification invariant violated for {F.name}: "
             f"acyclic isofibration != fully faithful + surjective on objects")
+    F._classification = cls
     return cls

@@ -56,6 +56,8 @@ class FinCat:
         return f"FinCat({self.name!r}, {len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FinCat):
             return NotImplemented
         return (self.objects == other.objects
@@ -146,6 +148,11 @@ class FinCat:
 
 
 class Functor:
+    """A functor given by its object and morphism maps.  Immutable after
+    construction: the maps are copied in and never written again, so facts
+    derived from a functor (such as its classification, which
+    `catmodel.classify` keeps on the instance) stay valid for its life."""
+
     def __init__(self, name, source: FinCat, target: FinCat, obj_map, mor_map):
         self.name = name
         self.source = source

@@ -34,8 +34,11 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
 
     fixed_obj / fixed_mor pre-pin images (used to enumerate under
     constraints, e.g. liftings).  `guard` bounds the number of search nodes.
+    `mor_injective` keeps only functors injective on all morphisms, identities
+    included (so also on objects), pruning during the search.
     """
     idents = set(C.identity.values())
+    d_idents = set(D.identity.values())
     free_mors = [m for m in C.morphism_ids if m not in idents]
     order_index = {m: i for i, m in enumerate(free_mors)}
     buckets = _composition_buckets(C, order_index)
@@ -65,7 +68,7 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
         m = free_mors[p]
         candidates = ([fixed_mor[m]] if m in fixed_mor
                       else D.hom(obj_map[C.dom[m]], obj_map[C.cod[m]]))
-        used = set(mor_map.values()) if mor_injective else ()
+        used = set(mor_map.values()) | d_idents if mor_injective else ()
         for c in candidates:
             if mor_injective and c in used:
                 continue
@@ -94,6 +97,8 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
         x = obj_list[k]
         candidates = [fixed_obj[x]] if x in fixed_obj else D.objects
         for y in candidates:
+            if mor_injective and y in obj_map.values():
+                continue
             nodes += 1
             if nodes > guard:
                 raise GuardExceeded(f"functor enumeration guard {guard} exceeded")
@@ -160,18 +165,22 @@ def are_naturally_isomorphic(F: Functor, G: Functor, guard=2_000_000) -> bool:
 
 def find_category_isomorphism(C: FinCat, D: FinCat, guard=2_000_000):
     """An isomorphism of categories C ~= D (bijective on objects and
-    morphisms), or None."""
+    morphisms), or None.  With equal counts, the first functor injective on
+    all morphisms is already bijective; the check below re-verifies it."""
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
         return None
     homprofile = lambda E: sorted(
         len(E.hom(x, y)) for x in E.objects for y in E.objects)
     if homprofile(C) != homprofile(D):
         return None
-    for F in enumerate_functors(C, D, guard=guard, mor_injective=True, first_only=False):
-        if (F.is_injective_on_objects() and F.is_surjective_on_objects()
-                and len(set(F.mor_map.values())) == len(D.morphisms)):
-            return F
-    return None
+    found = enumerate_functors(C, D, guard=guard, mor_injective=True, first_only=True)
+    if not found:
+        return None
+    F = found[0]
+    if not (F.is_injective_on_objects() and F.is_surjective_on_objects()
+            and len(set(F.mor_map.values())) == len(D.morphisms)):
+        raise AssertionError(f"{F.name} is injective on morphisms but not bijective")
+    return F
 
 
 def is_equivalence_structural(F: Functor) -> bool:

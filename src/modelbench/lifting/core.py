@@ -14,9 +14,15 @@ from dataclasses import dataclass, field
 
 class Ambient:
     """Interface consumed by the generic checkers.  Morphisms are opaque
-    values; the ambient interprets them."""
+    values; the ambient interprets them.  Morphisms and objects must be
+    hashable, with `==` agreeing with `equal`: the derived facts below are
+    memoized per value for the life of the ambient."""
 
     name = "ambient"
+
+    def __init__(self):
+        self._orth_memo: dict = {}
+        self._section_memo: dict = {}
 
     def equal(self, f, g) -> bool:
         raise NotImplementedError
@@ -59,8 +65,32 @@ class Ambient:
     # -- derived operations (overridable with instance-specific algebra) --
 
     def orthogonal(self, f, g, guard=None):
-        from .search import is_orthogonal
-        return is_orthogonal(self, f, g, guard=guard)
+        """f perp g, memoized per (f, g) for as long as this ambient lives;
+        a checker that wants fresh answers builds a fresh ambient.  The
+        result is shared between callers and must not be mutated.  `guard`
+        bounds only the first computation of a pair.  `is_orthogonal` is
+        the uncached primitive."""
+        key = (f, g)
+        res = self._orth_memo.get(key)
+        if res is None:
+            from .search import is_orthogonal
+            res = self._orth_memo[key] = is_orthogonal(self, f, g, guard=guard)
+        return res
+
+    def section_pairs(self, x, x2, guard=None):
+        """All (i: x -> x2, p: x2 -> x) with p o i = id_x, memoized per
+        (x, x2) for as long as this ambient lives."""
+        key = (x, x2)
+        pairs = self._section_memo.get(key)
+        if pairs is None:
+            idx = self.identity(x)
+            pairs = self._section_memo[key] = [
+                (i, p)
+                for i in self.morphisms_between(x, x2, guard=guard)
+                for p in self.morphisms_between(x2, x, guard=guard)
+                if self.equal(self.compose(p, i), idx)
+            ]
+        return pairs
 
     def in_generators_perp(self, generators, p, guard=None):
         """Is p in generators^perp?  Default: test each generator."""
@@ -70,8 +100,7 @@ class Ambient:
             res = self.orthogonal(s, p, guard=guard)
             total += res.squares_checked
             if not res.orthogonal:
-                res.squares_checked = total
-                return res
+                return OrthogonalityResult(False, res.counterexample, total)
         return OrthogonalityResult(True, None, total)
 
 

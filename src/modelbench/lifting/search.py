@@ -29,10 +29,11 @@ def enumerate_squares(a: Ambient, f, g, guard=None):
     """All commuting squares from f to g, lexicographic in (top, bottom)."""
     tops = a.morphisms_between(a.dom(f), a.dom(g), guard=guard)
     bottoms = a.morphisms_between(a.cod(f), a.cod(g), guard=guard)
+    bottoms_f = [(bottom, a.compose(bottom, f)) for bottom in bottoms]
     for top in tops:
         gt = a.compose(g, top)
-        for bottom in bottoms:
-            if a.equal(gt, a.compose(bottom, f)):
+        for bottom, bf in bottoms_f:
+            if a.equal(gt, bf):
                 yield Square(a, f, g, top, bottom)
 
 
@@ -47,25 +48,16 @@ def is_orthogonal(a: Ambient, f, g, guard=None) -> OrthogonalityResult:
 
 
 def find_retract(a: Ambient, f, f2, guard=None) -> RetractWitness | None:
-    """Exhaustive search for a retract presentation of f through f2."""
-    x, y = a.dom(f), a.cod(f)
-    x2, y2 = a.dom(f2), a.cod(f2)
-    idx, idy = a.identity(x), a.identity(y)
-    section_pairs_x = [
-        (i, p)
-        for i in a.morphisms_between(x, x2, guard=guard)
-        for p in a.morphisms_between(x2, x, guard=guard)
-        if a.equal(a.compose(p, i), idx)
-    ]
-    section_pairs_y = [
-        (j, q)
-        for j in a.morphisms_between(y, y2, guard=guard)
-        for q in a.morphisms_between(y2, y, guard=guard)
-        if a.equal(a.compose(q, j), idy)
-    ]
-    for (i, p) in section_pairs_x:
-        for (j, q) in section_pairs_y:
-            w = RetractWitness(a, f, f2, i, p, j, q)
-            if w.verify():
-                return w
+    """Exhaustive search for a retract presentation of f through f2.  The
+    section pairs come from the ambient's per-object-pair memo, so only the
+    two square conditions are left to test; their composites with f and f2
+    are formed once per pair."""
+    xs = [(i, p, a.compose(f2, i), a.compose(f, p))
+          for (i, p) in a.section_pairs(a.dom(f), a.dom(f2), guard=guard)]
+    ys = [(j, q, a.compose(j, f), a.compose(q, f2))
+          for (j, q) in a.section_pairs(a.cod(f), a.cod(f2), guard=guard)]
+    for (i, p, f2i, fp) in xs:
+        for (j, q, jf, qf2) in ys:
+            if a.equal(f2i, jf) and a.equal(qf2, fp):
+                return RetractWitness(a, f, f2, i, p, j, q)
     return None

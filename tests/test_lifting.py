@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from modelbench.catmodel import (
     CatAmbient,
     classify,
     empty_to_unit,
+    functor_cocylinder_factorization,
+    functor_cylinder_factorization,
     generating_cofibrations,
     inc0,
     k0_to_k1,
@@ -154,21 +158,17 @@ def small_corpus_functors():
     return out
 
 
+def mc5_factorizations(F):
+    cf = functor_cylinder_factorization(F)
+    ccf = functor_cocylinder_factorization(F)
+    return (cf.j, cf.p), (ccf.iota, ccf.q)
+
+
 def test_model_axioms_small_corpus():
     corpus = small_corpus_functors()
-    from modelbench.catmodel.factor import (
-        functor_cylinder_factorization,
-        functor_cocylinder_factorization,
-    )
-
-    def factorizations(F):
-        cf = functor_cylinder_factorization(F)
-        ccf = functor_cocylinder_factorization(F)
-        return ((cf.j, cf.p), (ccf.iota, ccf.q))
-
     report = check_model_axioms(AMB, cat_triple(), corpus,
-                                factorizations=factorizations)
-    assert report.ok, [e.__dict__ for e in report.failures()]
+                                factorizations=mc5_factorizations)
+    assert report.ok, [e.__dict__ for e in report.entries if not e.ok]
 
 
 def test_model_axioms_detect_broken_triple():
@@ -233,3 +233,77 @@ def test_small_object_factorization(source, target, index, stages):
     assert len(res.witness.stages) == stages
     assert AMB.equal(AMB.compose(res.p, res.i), F)
     assert AMB.in_generators_perp(gens, res.p).orthogonal
+
+
+# -- memoized classification, orthogonality and section pairs ---------------
+
+def k0_i_corpus():
+    """All functors among K0 and I, in a seeded shuffled order."""
+    cats = [k_category(0), interval_category()]
+    corpus = [F for C in cats for D in cats for F in enumerate_functors(C, D)]
+    random.Random(1).shuffle(corpus)
+    return corpus
+
+
+def report_summary(report):
+    """[status, leading count of the detail] per axiom."""
+    out = {}
+    for e in report.entries:
+        head = e.detail.split(" ", 1)[0]
+        out[e.axiom] = [e.status, int(head) if head.isdigit() else None]
+    return out
+
+
+def test_model_axioms_k0_i_counts():
+    report = check_model_axioms(CatAmbient(), cat_triple(), k0_i_corpus(),
+                                factorizations=mc5_factorizations)
+    assert report_summary(report) == {
+        "MC1-identities": ["ok", 2],
+        "MC1-composition": ["ok", 96],
+        "MC2-retracts": ["ok", 96],
+        "MC3-two-of-three": ["ok", None],
+        "MC4-lifting": ["ok", 40],
+        "MC5-factorization": ["ok", 14],
+        "Cof-orthogonality": ["sampled", 8],
+    }
+
+
+def test_model_axioms_reused_ambient_matches_fresh():
+    corpus = k0_i_corpus()
+    reused = CatAmbient()
+    check_model_axioms(reused, cat_triple(), corpus, factorizations=mc5_factorizations)
+    again = check_model_axioms(reused, cat_triple(), corpus, factorizations=mc5_factorizations)
+    fresh = check_model_axioms(CatAmbient(), cat_triple(), corpus,
+                               factorizations=mc5_factorizations)
+    summary = lambda r: [(e.axiom, e.status, e.detail) for e in r.entries]
+    assert summary(again) == summary(fresh)
+
+
+def test_classify_is_kept_on_the_functor():
+    F = k2_to_k1()
+    assert classify(F) is classify(F)
+    # an equal but distinct functor gets its own, equal classification
+    G = k2_to_k1()
+    assert classify(G) is not classify(F) and classify(G) == classify(F)
+
+
+def test_memoized_orthogonal_matches_primitive_around_generators_perp():
+    # K2 -> K1 passes the first two generators and fails the third, so
+    # in_generators_perp sums squares over three memoized results
+    gens = generating_cofibrations()
+    p = k2_to_k1()
+    a = CatAmbient()
+
+    def same_as_fresh():
+        for s in gens:
+            got, want = a.orthogonal(s, p), is_orthogonal(CatAmbient(), s, p)
+            assert (got.orthogonal, got.squares_checked) == \
+                (want.orthogonal, want.squares_checked), s.name
+
+    same_as_fresh()
+    assert a.orthogonal(gens[0], p) is a.orthogonal(gens[0], p)
+    res = a.in_generators_perp(gens, p)
+    assert not res.orthogonal
+    assert res.squares_checked == sum(
+        is_orthogonal(CatAmbient(), s, p).squares_checked for s in gens)
+    same_as_fresh()
