@@ -14,14 +14,12 @@ class CatAmbient(Ambient):
 
     name = "Cat"
 
-    def __init__(self, guard=2_000_000):
+    def __init__(self):
         super().__init__()
-        self.guard = guard
         self._fun_cache: dict = {}
 
     def equal(self, f: Functor, g: Functor) -> bool:
-        return (f.source == g.source and f.target == g.target
-                and f.obj_map == g.obj_map and f.mor_map == g.mor_map)
+        return f == g
 
     def compose(self, g: Functor, f: Functor) -> Functor:
         return f.then(g)
@@ -41,13 +39,13 @@ class CatAmbient(Ambient):
                 and len(images) == len(f.source.morphisms)
                 and len(images) == len(f.target.morphisms))
 
-    def morphisms_between(self, x: FinCat, y: FinCat, guard=None):
+    def morphisms_between(self, x: FinCat, y: FinCat):
         key = (x, y)
         if key not in self._fun_cache:
-            self._fun_cache[key] = enumerate_functors(x, y, guard=guard or self.guard)
+            self._fun_cache[key] = enumerate_functors(x, y)
         return self._fun_cache[key]
 
-    def lift_candidates(self, square, guard=None):
+    def lift_candidates(self, square):
         """Functors h: cod(left) -> dom(right) with h o left = top, found by
         pinning the images forced on the left leg's image."""
         f, top = square.left, square.top
@@ -66,8 +64,7 @@ class CatAmbient(Ambient):
             if fixed_mor.get(n, want) != want:
                 return []
             fixed_mor[n] = want
-        return enumerate_functors(Y, A, fixed_obj=fixed_obj, fixed_mor=fixed_mor,
-                                  guard=guard or self.guard)
+        return enumerate_functors(Y, A, fixed_obj=fixed_obj, fixed_mor=fixed_mor)
 
     # -- bounded colimits -------------------------------------------------
 
@@ -106,8 +103,8 @@ class CatAmbient(Ambient):
         from ..lifting.search import enumerate_squares, find_lifting
         out = []
         for gen in generators:
-            for sq in enumerate_squares(self, gen, f, guard=self.guard):
-                if find_lifting(sq, guard=self.guard) is None:
+            for sq in enumerate_squares(self, gen, f):
+                if find_lifting(sq) is None:
                     out.append((gen, sq.top, sq.bottom))
         return out
 

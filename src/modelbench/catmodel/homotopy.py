@@ -24,7 +24,7 @@ class NatIsoDecision:
         return len(set(self.routes)) == 1
 
 
-def _cylinder_route(F: Functor, G: Functor, guard):
+def _cylinder_route(F: Functor, G: Functor):
     C, D = F.source, F.target
     cyl = cylinder(C)
     fixed_obj = {}
@@ -35,24 +35,17 @@ def _cylinder_route(F: Functor, G: Functor, guard):
     for m in C.morphism_ids:
         fixed_mor[_pair(m, "id_0")] = F.mor_map[m]
         fixed_mor[_pair(m, "id_1")] = G.mor_map[m]
-    for H in enumerate_functors(cyl.cyl, D, fixed_obj=fixed_obj,
-                                fixed_mor=fixed_mor, guard=guard):
-        lhs0 = cyl.iota0.then(H)
-        lhs1 = cyl.iota1.then(H)
-        if (lhs0.obj_map == F.obj_map and lhs0.mor_map == F.mor_map
-                and lhs1.obj_map == G.obj_map and lhs1.mor_map == G.mor_map):
+    for H in enumerate_functors(cyl.cyl, D, fixed_obj=fixed_obj, fixed_mor=fixed_mor):
+        if cyl.iota0.then(H) == F and cyl.iota1.then(H) == G:
             return H
     return None
 
 
-def _path_route(F: Functor, G: Functor, guard):
+def _path_route(F: Functor, G: Functor):
     C, D = F.source, F.target
     path = path_object(D)
-    for K in enumerate_functors(C, path.path_cat, guard=guard):
-        k0 = K.then(path.p0)
-        k1 = K.then(path.p1)
-        if (k0.obj_map == F.obj_map and k0.mor_map == F.mor_map
-                and k1.obj_map == G.obj_map and k1.mor_map == G.mor_map):
+    for K in enumerate_functors(C, path.path_cat):
+        if K.then(path.p0) == F and K.then(path.p1) == G:
             return K
     return None
 
@@ -94,14 +87,14 @@ def eta_to_path_homotopy(eta: NatTransf) -> Functor:
     return K
 
 
-def naturally_isomorphic(F: Functor, G: Functor, guard=2_000_000) -> NatIsoDecision:
+def naturally_isomorphic(F: Functor, G: Functor) -> NatIsoDecision:
     """Decide F ~= G three independent ways and insist the answers agree."""
     if F.source != G.source or F.target != G.target:
         raise ValueError("parallel functors required")
-    etas = natural_isos(F, G, first_only=True, guard=guard)
+    etas = natural_isos(F, G)
     eta = etas[0] if etas else None
-    H = _cylinder_route(F, G, guard)
-    K = _path_route(F, G, guard)
+    H = _cylinder_route(F, G)
+    K = _path_route(F, G)
     routes = (eta is not None, H is not None, K is not None)
     decision = NatIsoDecision(found=all(routes), eta=eta, H=H, K=K, routes=routes)
     if not decision.agree:
@@ -114,14 +107,14 @@ def naturally_isomorphic(F: Functor, G: Functor, guard=2_000_000) -> NatIsoDecis
     return decision
 
 
-def ho_hom(C, D, guard=2_000_000):
+def ho_hom(C, D):
     """Hom in the homotopy category: functors C -> D up to natural
     isomorphism, as a deterministic list of classes."""
-    fns = enumerate_functors(C, D, guard=guard)
+    fns = enumerate_functors(C, D)
     classes: list[list] = []
     for F in fns:
         for cls in classes:
-            if are_naturally_isomorphic(cls[0], F, guard=guard):
+            if are_naturally_isomorphic(cls[0], F):
                 cls.append(F)
                 break
         else:

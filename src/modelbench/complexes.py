@@ -307,14 +307,10 @@ def is_surjective(f: ChainMap) -> bool:
     return True
 
 
-def is_quasi_iso(f: ChainMap, interior_only=True) -> bool:
-    """Quasi-isomorphism via cone acyclicity.  With interior_only the check
-    runs on the window interior [lo+1, hi-1] (the reliable range when the
-    data is a truncation); otherwise on every degree."""
+def is_quasi_iso(f: ChainMap) -> bool:
+    """Quasi-isomorphism via cone acyclicity in every degree."""
     C, _, _ = cone(f)
-    lo, hi = f.source.window
-    degs = range(lo + 1, hi) if interior_only else C.degrees()
-    return all(cohomology(C, n).h_dim == 0 for n in degs)
+    return all(cohomology(C, n).h_dim == 0 for n in C.degrees())
 
 
 def section_condition(f: ChainMap, n: int) -> tuple[bool, dict]:
@@ -366,7 +362,7 @@ def surj_quas_criteria(f: ChainMap) -> SurjQuasReport:
     window, so all three are global statements)."""
     X, Y = f.source, f.target
     lo, hi = X.window
-    c1 = is_surjective(f) and is_quasi_iso(f, interior_only=False)
+    c1 = is_surjective(f) and is_quasi_iso(f)
 
     c2 = True
     c2_fail = None

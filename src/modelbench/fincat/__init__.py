@@ -11,7 +11,6 @@ from .build import (
 from .enumfun import (
     GuardExceeded,
     enumerate_functors,
-    enumerate_nat_transfs,
     natural_isos,
     find_category_isomorphism,
     is_equivalence_structural,
@@ -25,8 +24,8 @@ __all__ = [
     "FinCat", "Functor", "NatTransf", "ValidationReport",
     "empty_category", "unit_category", "discrete_category", "k_category",
     "interval_category", "product", "coproduct",
-    "GuardExceeded", "enumerate_functors", "enumerate_nat_transfs",
-    "natural_isos", "find_category_isomorphism", "is_equivalence_structural",
+    "GuardExceeded", "enumerate_functors", "natural_isos",
+    "find_category_isomorphism", "is_equivalence_structural",
     "find_quasi_inverse",
     "HomCongruence", "factor_category", "standard_factorization", "image_factorization",
     "Quiver", "PathCategory", "path_category", "adjunction_check",

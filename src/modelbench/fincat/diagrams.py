@@ -12,8 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FinCat, Functor, ValidationReport
+from .core import FinCat, Functor, ValidationReport, identity_functor
 from .quivers import Quiver, path_name
+
+# Paths of length <= L that one congruence closure may hold before
+# `saturate` stops growing the horizon.
+PATH_BUDGET = 200_000
+# Morphism classes past which `saturate` reports "possibly_infinite".
+CLASS_BUDGET = 10_000
 
 
 class CatDiagram:
@@ -27,7 +33,6 @@ class CatDiagram:
         for x in shape.objects:     # identity edges may be left implicit
             i = shape.identity[x]
             if i not in self.edges:
-                from .core import identity_functor
                 self.edges[i] = identity_functor(self.nodes[x])
 
     def validate(self) -> ValidationReport:
@@ -45,18 +50,14 @@ class CatDiagram:
         if failures:
             return ValidationReport(False, failures)
         for x in self.shape.objects:
-            idF = self.edges[self.shape.identity[x]]
-            if any(idF.obj_map[o] != o for o in self.nodes[x].objects) or \
-               any(idF.mor_map[m] != m for m in self.nodes[x].morphism_ids):
+            if self.edges[self.shape.identity[x]] != identity_functor(self.nodes[x]):
                 failures.append(f"identity edge at {x} is not the identity functor")
         for (f, fd, fc) in self.shape.morphisms:
             for (g, gd, gc) in self.shape.morphisms:
                 if gd != fc:
                     continue
                 gf = self.shape.compose(g, f)
-                comp = self.edges[f].then(self.edges[g])
-                if (comp.obj_map != self.edges[gf].obj_map
-                        or comp.mor_map != self.edges[gf].mor_map):
+                if self.edges[f].then(self.edges[g]) != self.edges[gf]:
                     failures.append(f"functoriality fails at ({g}, {f})")
                     return ValidationReport(False, failures)
         return ValidationReport(not failures, failures)
@@ -150,12 +151,11 @@ class CatPresentation:
 
     quiver: Quiver
     relations: list            # pairs of (src_vertex, arrows tuple)
-    saturation_cap: int = 10_000
     object_class: dict = field(default_factory=dict)   # tagged object -> vertex
     arrow_tag: dict = field(default_factory=dict)       # tagged morphism -> arrow
 
 
-def colimit_presentation(D: CatDiagram, saturation_cap=10_000) -> CatPresentation:
+def colimit_presentation(D: CatDiagram) -> CatPresentation:
     """Quiver-with-relations presentation of the colimit: arrows are all
     node morphisms over object classes; relations collapse node composition,
     node identities and edge transport."""
@@ -220,7 +220,7 @@ def colimit_presentation(D: CatDiagram, saturation_cap=10_000) -> CatPresentatio
             relations.append(((src, (arrow_tag[(d, h)],)),
                               (src, (arrow_tag[(c, F.mor_map[h])],))))
     return CatPresentation(
-        quiver=Q, relations=relations, saturation_cap=saturation_cap,
+        quiver=Q, relations=relations,
         object_class={t: cls(*t) for t in tags}, arrow_tag=arrow_tag)
 
 
@@ -242,7 +242,7 @@ def _path_key(src, arrows):
     return (src, tuple(arrows))
 
 
-def _closure_at(pres: CatPresentation, L: int, guard_paths: int):
+def _closure_at(pres: CatPresentation, L: int):
     """Congruence closure of the relation on all paths of length <= L.
     Returns (paths, find) or None when the path count explodes."""
     Q = pres.quiver
@@ -268,7 +268,7 @@ def _closure_at(pres: CatPresentation, L: int, guard_paths: int):
                     endpoints[nk] = (src, t2)
                     nxt.append(nk)
         frontier = nxt
-        if len(endpoints) > guard_paths:
+        if len(endpoints) > PATH_BUDGET:
             return None
     parent = {k: k for k in endpoints}
 
@@ -311,21 +311,20 @@ def _closure_at(pres: CatPresentation, L: int, guard_paths: int):
     return endpoints, find, rank
 
 
-def saturate(pres: CatPresentation, cap=None, max_len=10,
-             guard_paths=200_000, fixed_len=None) -> SaturationResult:
+def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationResult:
     """Try to realize a CatPresentation as a finite category.
 
     With `fixed_len` the closure is run once at that path length and the
     class census is reported without attempting a categorical structure.
     Otherwise the horizon grows until the closure stabilizes (then the
-    result is exact) or a budget trips (then "possibly_infinite").
+    result is exact) or a budget trips (then "possibly_infinite"): more
+    than PATH_BUDGET paths, more than CLASS_BUDGET classes, or `max_len`.
     """
-    cap = cap or pres.saturation_cap
     min_len = max([2] + [len(p[1]) for rel in pres.relations for p in rel])
     lengths = [fixed_len] if fixed_len is not None else list(range(min_len, max_len + 1))
     last_count = None
     for L in lengths:
-        closed = _closure_at(pres, L, guard_paths)
+        closed = _closure_at(pres, L)
         if closed is None:
             break
         endpoints, find, rank = closed
@@ -335,7 +334,7 @@ def saturate(pres: CatPresentation, cap=None, max_len=10,
         reps = {r: min(members, key=rank) for r, members in classes.items()}
         count = len(reps)
         path_class = {k: reps[find(k)] for k in endpoints}
-        if count > cap:
+        if count > CLASS_BUDGET:
             return SaturationResult("possibly_infinite", None, count, L)
         if fixed_len is not None:
             return SaturationResult("census", None, count, L,
@@ -417,10 +416,10 @@ def coequalizer_diagram(F: Functor, G: Functor, name="coeq") -> CatDiagram:
                       {"a": F.source, "b": F.target}, {"u": F, "v": G})
 
 
-def colimit(D: CatDiagram, saturation_cap=10_000, max_len=10):
+def colimit(D: CatDiagram, max_len=10):
     """Convenience: presentation plus saturation attempt, and (when total)
     the cocone functors from each node."""
-    pres = colimit_presentation(D, saturation_cap)
+    pres = colimit_presentation(D)
     result = saturate(pres, max_len=max_len)
     injections = {}
     if result.total:

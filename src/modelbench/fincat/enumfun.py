@@ -10,8 +10,14 @@ from __future__ import annotations
 from .core import FinCat, Functor, NatTransf, identity_functor
 
 
+# Search nodes one enumeration may visit (an object or morphism image tried,
+# or a component tried for a natural isomorphism) before it gives up with
+# GuardExceeded.  Read at call time, so a test can lower it.
+NODE_BUDGET = 2_000_000
+
+
 class GuardExceeded(Exception):
-    """Raised when an enumeration would exceed its configured size guard."""
+    """Raised when an enumeration would visit more than NODE_BUDGET nodes."""
 
 
 def _composition_buckets(C: FinCat, order_index):
@@ -29,13 +35,14 @@ def _composition_buckets(C: FinCat, order_index):
 
 
 def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
-                       guard=2_000_000, first_only=False, mor_injective=False):
+                       first_only=False, mor_injective=False):
     """All functors C -> D, via backtracking over object and morphism images.
 
     fixed_obj / fixed_mor pre-pin images (used to enumerate under
-    constraints, e.g. liftings).  `guard` bounds the number of search nodes.
-    `mor_injective` keeps only functors injective on all morphisms, identities
-    included (so also on objects), pruning during the search.
+    constraints, e.g. liftings).  `mor_injective` keeps only functors
+    injective on all morphisms, identities included (so also on objects),
+    pruning during the search.  Raises GuardExceeded past NODE_BUDGET
+    search nodes.
     """
     idents = set(C.identity.values())
     d_idents = set(D.identity.values())
@@ -47,6 +54,7 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
 
     results = []
     nodes = 0
+    budget = NODE_BUDGET
     obj_list = list(C.objects)
 
     def check_bucket(p, obj_map, mor_map):
@@ -73,8 +81,8 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
             if mor_injective and c in used:
                 continue
             nodes += 1
-            if nodes > guard:
-                raise GuardExceeded(f"functor enumeration guard {guard} exceeded")
+            if nodes > budget:
+                raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
             mor_map[m] = c
             ok = check_bucket(p, obj_map, mor_map)
             if ok and not assign_mors(p + 1, obj_map, dict(mor_map)):
@@ -100,8 +108,8 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
             if mor_injective and y in obj_map.values():
                 continue
             nodes += 1
-            if nodes > guard:
-                raise GuardExceeded(f"functor enumeration guard {guard} exceeded")
+            if nodes > budget:
+                raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
             obj_map[x] = y
             if not assign_objs(k + 1, obj_map):
                 return False
@@ -112,13 +120,14 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
     return results
 
 
-def enumerate_nat_transfs(F: Functor, G: Functor, iso_only=False, guard=2_000_000,
-                          first_only=False):
-    """Natural transformations F => G by backtracking over components."""
+def natural_isos(F: Functor, G: Functor):
+    """The first natural isomorphism F => G found by backtracking over
+    iso components, as a one-element list, or [] when there is none."""
     C, D = F.source, F.target
     objs = list(C.objects)
     results = []
     nodes = 0
+    budget = NODE_BUDGET
 
     mors_between: dict[tuple[int, int], list] = {}
     pos = {x: i for i, x in enumerate(objs)}
@@ -137,14 +146,14 @@ def enumerate_nat_transfs(F: Functor, G: Functor, iso_only=False, guard=2_000_00
         nonlocal nodes
         if k == len(objs):
             results.append(NatTransf(F, G, dict(comp)))
-            return not first_only
+            return False
         x = objs[k]
         for c in D.hom(F.obj_map[x], G.obj_map[x]):
-            if iso_only and not D.is_iso(c):
+            if not D.is_iso(c):
                 continue
             nodes += 1
-            if nodes > guard:
-                raise GuardExceeded(f"nat transf enumeration guard {guard} exceeded")
+            if nodes > budget:
+                raise GuardExceeded(f"natural iso search exceeded {budget} nodes")
             comp[x] = c
             if naturality_ok(k, comp) and not assign(k + 1, comp):
                 return False
@@ -155,15 +164,11 @@ def enumerate_nat_transfs(F: Functor, G: Functor, iso_only=False, guard=2_000_00
     return results
 
 
-def natural_isos(F: Functor, G: Functor, first_only=True, guard=2_000_000):
-    return enumerate_nat_transfs(F, G, iso_only=True, guard=guard, first_only=first_only)
+def are_naturally_isomorphic(F: Functor, G: Functor) -> bool:
+    return bool(natural_isos(F, G))
 
 
-def are_naturally_isomorphic(F: Functor, G: Functor, guard=2_000_000) -> bool:
-    return bool(natural_isos(F, G, first_only=True, guard=guard))
-
-
-def find_category_isomorphism(C: FinCat, D: FinCat, guard=2_000_000):
+def find_category_isomorphism(C: FinCat, D: FinCat):
     """An isomorphism of categories C ~= D (bijective on objects and
     morphisms), or None.  With equal counts, the first functor injective on
     all morphisms is already bijective; the check below re-verifies it."""
@@ -173,7 +178,7 @@ def find_category_isomorphism(C: FinCat, D: FinCat, guard=2_000_000):
         len(E.hom(x, y)) for x in E.objects for y in E.objects)
     if homprofile(C) != homprofile(D):
         return None
-    found = enumerate_functors(C, D, guard=guard, mor_injective=True, first_only=True)
+    found = enumerate_functors(C, D, mor_injective=True, first_only=True)
     if not found:
         return None
     F = found[0]
@@ -189,15 +194,15 @@ def is_equivalence_structural(F: Functor) -> bool:
     return F.is_full() and F.is_faithful() and F.is_dense()
 
 
-def find_quasi_inverse(F: Functor, guard=2_000_000):
+def find_quasi_inverse(F: Functor):
     """A quasi-inverse (G, eta: GF => Id_C iso, eps: FG => Id_D iso), by
     brute force.  Returns None when no candidate works."""
     C, D = F.source, F.target
-    for G in enumerate_functors(D, C, guard=guard):
-        etas = natural_isos(G.then(F), identity_functor(D), first_only=True, guard=guard)
+    for G in enumerate_functors(D, C):
+        etas = natural_isos(G.then(F), identity_functor(D))
         if not etas:
             continue
-        eps = natural_isos(F.then(G), identity_functor(C), first_only=True, guard=guard)
+        eps = natural_isos(F.then(G), identity_functor(C))
         if eps:
             return G, eps[0], etas[0]
     return None

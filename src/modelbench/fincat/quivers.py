@@ -157,7 +157,7 @@ class AdjunctionWitness:
     pairs: list
 
 
-def adjunction_check(Q: Quiver, C: FinCat, guard=2_000_000) -> AdjunctionWitness:
+def adjunction_check(Q: Quiver, C: FinCat) -> AdjunctionWitness:
     """Explicit bijection Cat(P(Q), C) ~= Quiv(Q, U(C)), both sides fully
     enumerated.  Requires an acyclic quiver (finite path category)."""
     longest = Q.longest_path_length()
@@ -165,7 +165,7 @@ def adjunction_check(Q: Quiver, C: FinCat, guard=2_000_000) -> AdjunctionWitness
         raise ValueError("cyclic quiver: the path category is infinite")
     pq = path_category(Q, longest)
     assert pq.total
-    functors = enumerate_functors(pq.category, C, guard=guard)
+    functors = enumerate_functors(pq.category, C)
     qmaps = quiver_morphisms(Q, C)
 
     def to_quiver_map(F: Functor):

@@ -45,14 +45,13 @@ class Ambient:
 
     # -- enumeration -----------------------------------------------------
 
-    def morphisms_between(self, x, y, guard=None):
+    def morphisms_between(self, x, y):
         raise NotImplementedError
 
-    def lift_candidates(self, square, guard=None):
+    def lift_candidates(self, square):
         """Candidate diagonals for a commuting square; defaults to all
         morphisms cod(left) -> dom(right)."""
-        return self.morphisms_between(self.cod(square.left), self.dom(square.right),
-                                      guard=guard)
+        return self.morphisms_between(self.cod(square.left), self.dom(square.right))
 
     # -- colimit-flavoured capabilities (bounded) ------------------------
 
@@ -64,20 +63,20 @@ class Ambient:
 
     # -- derived operations (overridable with instance-specific algebra) --
 
-    def orthogonal(self, f, g, guard=None):
+    def orthogonal(self, f, g):
         """f perp g, memoized per (f, g) for as long as this ambient lives;
         a checker that wants fresh answers builds a fresh ambient.  The
-        result is shared between callers and must not be mutated.  `guard`
-        bounds only the first computation of a pair.  `is_orthogonal` is
-        the uncached primitive."""
+        result is shared between callers and must not be mutated.  A search
+        that runs out of budget raises and stores nothing.  `is_orthogonal`
+        is the uncached primitive."""
         key = (f, g)
         res = self._orth_memo.get(key)
         if res is None:
             from .search import is_orthogonal
-            res = self._orth_memo[key] = is_orthogonal(self, f, g, guard=guard)
+            res = self._orth_memo[key] = is_orthogonal(self, f, g)
         return res
 
-    def section_pairs(self, x, x2, guard=None):
+    def section_pairs(self, x, x2):
         """All (i: x -> x2, p: x2 -> x) with p o i = id_x, memoized per
         (x, x2) for as long as this ambient lives."""
         key = (x, x2)
@@ -86,18 +85,18 @@ class Ambient:
             idx = self.identity(x)
             pairs = self._section_memo[key] = [
                 (i, p)
-                for i in self.morphisms_between(x, x2, guard=guard)
-                for p in self.morphisms_between(x2, x, guard=guard)
+                for i in self.morphisms_between(x, x2)
+                for p in self.morphisms_between(x2, x)
                 if self.equal(self.compose(p, i), idx)
             ]
         return pairs
 
-    def in_generators_perp(self, generators, p, guard=None):
+    def in_generators_perp(self, generators, p):
         """Is p in generators^perp?  Default: test each generator."""
         from .search import OrthogonalityResult
         total = 0
         for s in generators:
-            res = self.orthogonal(s, p, guard=guard)
+            res = self.orthogonal(s, p)
             total += res.squares_checked
             if not res.orthogonal:
                 return OrthogonalityResult(False, res.counterexample, total)

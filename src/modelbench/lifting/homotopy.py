@@ -41,25 +41,23 @@ def _check_cylinder(a: Ambient, cyl: CylinderData):
         raise ValueError("cylinder legs do not factor the codiagonal")
 
 
-def cylinder_homotopy_check(a: Ambient, F, G, cyl: CylinderData,
-                            guard=None) -> HomotopyWitness | None:
+def cylinder_homotopy_check(a: Ambient, F, G, cyl: CylinderData) -> HomotopyWitness | None:
     """Search for H with H i0 = F and H i1 = G."""
     _check_cylinder(a, cyl)
     target = a.cod(F)
-    for H in a.morphisms_between(a.cod(cyl.i0), target, guard=guard):
+    for H in a.morphisms_between(a.cod(cyl.i0), target):
         if a.equal(a.compose(H, cyl.i0), F) and a.equal(a.compose(H, cyl.i1), G):
             return HomotopyWitness("left", H, cyl)
     return None
 
 
-def path_homotopy_check(a: Ambient, F, G, path: PathData,
-                        guard=None) -> HomotopyWitness | None:
+def path_homotopy_check(a: Ambient, F, G, path: PathData) -> HomotopyWitness | None:
     """Search for K with p0 K = F and p1 K = G."""
     idx = a.identity(a.dom(path.const))
     if not (a.equal(a.compose(path.p0, path.const), idx)
             and a.equal(a.compose(path.p1, path.const), idx)):
         raise ValueError("path legs do not factor the diagonal")
-    for K in a.morphisms_between(a.dom(F), a.dom(path.p0), guard=guard):
+    for K in a.morphisms_between(a.dom(F), a.dom(path.p0)):
         if a.equal(a.compose(path.p0, K), F) and a.equal(a.compose(path.p1, K), G):
             return HomotopyWitness("right", K, path)
     return None

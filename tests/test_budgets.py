@@ -1,0 +1,74 @@
+"""The fixed search budgets: what happens when one runs out.  Each test
+lowers a module constant for its own duration only."""
+
+import pytest
+
+from modelbench.catmodel import CatAmbient, inc0, k2_to_k1
+from modelbench.fincat import (
+    Functor,
+    GuardExceeded,
+    empty_category,
+    enumerate_functors,
+    interval_category,
+    k_category,
+    natural_isos,
+    unit_category,
+)
+from modelbench.fincat import diagrams, enumfun
+from modelbench.fincat.core import identity_functor
+from modelbench.lifting import is_orthogonal
+
+
+def test_enumerate_functors_raises_past_node_budget(monkeypatch):
+    I = interval_category()
+    assert len(enumerate_functors(I, I)) == 4
+    monkeypatch.setattr(enumfun, "NODE_BUDGET", 3)
+    with pytest.raises(GuardExceeded):
+        enumerate_functors(I, I)
+
+
+def test_natural_isos_raises_past_node_budget(monkeypatch):
+    # one iso component per object of K2, so two search nodes at least
+    Id = identity_functor(k_category(2))
+    assert len(natural_isos(Id, Id)) == 1
+    monkeypatch.setattr(enumfun, "NODE_BUDGET", 1)
+    with pytest.raises(GuardExceeded):
+        natural_isos(Id, Id)
+
+
+def test_orthogonal_out_of_budget_leaves_no_memo(monkeypatch):
+    f, g = k2_to_k1(), inc0()
+    a = CatAmbient()
+    monkeypatch.setattr(enumfun, "NODE_BUDGET", 2)
+    with pytest.raises(GuardExceeded):
+        a.orthogonal(f, g)
+    assert (f, g) not in a._orth_memo
+    monkeypatch.undo()
+    got, want = a.orthogonal(f, g), is_orthogonal(CatAmbient(), f, g)
+    assert (got.orthogonal, got.squares_checked) == (want.orthogonal, want.squares_checked)
+    assert got.squares_checked > 0
+
+
+def pushout_over_empty():
+    """k2 + 1 as a pushout over the empty category: total at the default
+    budgets, with 5 morphism classes."""
+    e = empty_category()
+    f = Functor("e1", e, k_category(2), {}, {})
+    g = Functor("e2", e, unit_category(), {}, {})
+    return diagrams.colimit_presentation(diagrams.pushout_diagram(f, g))
+
+
+def test_saturate_past_class_budget_is_possibly_infinite(monkeypatch):
+    pres = pushout_over_empty()
+    result = diagrams.saturate(pres)
+    assert result.status == "total" and result.class_count == 5
+    monkeypatch.setattr(diagrams, "CLASS_BUDGET", 4)
+    result = diagrams.saturate(pres)
+    assert result.status == "possibly_infinite" and result.category is None
+
+
+def test_saturate_past_path_budget_is_possibly_infinite(monkeypatch):
+    pres = pushout_over_empty()
+    monkeypatch.setattr(diagrams, "PATH_BUDGET", 4)
+    result = diagrams.saturate(pres)
+    assert result.status == "possibly_infinite" and result.category is None

@@ -288,7 +288,7 @@ def test_ho_hom_i_i_two_ways():
     classes2 = []
     for F in fns:
         for cls in classes2:
-            if _cylinder_route(cls[0], F, 2_000_000) is not None:
+            if _cylinder_route(cls[0], F) is not None:
                 cls.append(F)
                 break
         else:

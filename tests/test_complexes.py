@@ -94,7 +94,7 @@ def test_cone_of_map_to_zero_is_suspension():
 def test_v_to_zero_is_surjective_quasi_iso():
     X = V()
     f = ChainMap(X, zero_complex(X.window), {})
-    assert is_quasi_iso(f, interior_only=False)
+    assert is_quasi_iso(f)
     rep = surj_quas_criteria(f)
     assert rep.all_equal() and rep.c1
 
@@ -110,7 +110,7 @@ def test_cocycle_stalk_into_v_not_quasi_iso():
     Y = V()
     g = ChainMap(X1, Y, {1: [[1]]})
     assert g.validate()[0]
-    assert not is_quasi_iso(g, interior_only=False)
+    assert not is_quasi_iso(g)
     rep = surj_quas_criteria(g)
     assert rep.all_equal() and not rep.c1
 

@@ -186,3 +186,16 @@ def test_diagram_validation():
     C = k_category(1)
     D = CatDiagram("d", discrete_shape(["a"]), {"a": C}, {})
     assert D.validate().ok
+
+
+def test_diagram_validation_rejects_a_non_identity_identity_edge():
+    I = interval_category()
+    swap = Functor("swap", I, I, {"0": "1", "1": "0"},
+                   {"id_0": "id_1", "id_1": "id_0", "a": "a_inv", "a_inv": "a"})
+    shape = discrete_shape(["a"])
+    D = CatDiagram("d", shape, {"a": I}, {shape.identity["a"]: swap})
+    report = D.validate()
+    assert not report.ok
+    # swap o swap = id differs from swap, so functoriality fails as well
+    assert report.failures == ["identity edge at a is not the identity functor",
+                               "functoriality fails at (id_a, id_a)"]

@@ -307,3 +307,46 @@ def test_memoized_orthogonal_matches_primitive_around_generators_perp():
     assert res.squares_checked == sum(
         is_orthogonal(CatAmbient(), s, p).squares_checked for s in gens)
     same_as_fresh()
+
+
+# -- MC1-composition and MC3 share one pass over the composable pairs -------
+
+def corpus_index(corpus, F):
+    return next(k for k, G in enumerate(corpus) if G is F)
+
+
+def test_mc3_fails_while_composition_holds():
+    # with We = full functors, K0 -> 1 after 0 -> K0 is full but K0 -> 1 is not
+    corpus = small_corpus_functors()
+    triple = ModelTriple(cof=lambda F: classify(F).injection,
+                         we=lambda F: classify(F).full,
+                         fib=lambda F: classify(F).isofibration)
+    entries = {e.axiom: e for e in check_model_axioms(CatAmbient(), triple, corpus).entries}
+    comp, mc3 = entries["MC1-composition"], entries["MC3-two-of-three"]
+    assert (comp.status, comp.detail) == ("ok", "438 composable pairs")
+    assert (mc3.status, mc3.detail) == ("fail", "exactly two of three in We")
+    f, g = mc3.counterexample
+    assert [corpus_index(corpus, f), corpus_index(corpus, g)] == [2, 12]
+    assert (f.name, g.name) == ("F0", "F0")
+    assert (f.source.name, f.target.name, g.target.name) == ("0", "K0", "1")
+
+
+def test_composition_and_mc3_both_fail_in_one_pass():
+    # non-equivalences are not closed under composition: 1 -> K0 -> 1 is the
+    # identity; MC3 fails first, at 0 -> 0 -> 1, and the pass goes on
+    corpus = small_corpus_functors()
+    triple = ModelTriple(cof=lambda F: classify(F).injection,
+                         we=lambda F: not classify(F).equivalence,
+                         fib=lambda F: classify(F).isofibration)
+    report = check_model_axioms(CatAmbient(), triple, corpus)
+    assert [e.axiom for e in report.entries] == [
+        "MC1-identities", "MC1-composition", "MC2-retracts", "MC3-two-of-three",
+        "MC4-lifting", "MC5-factorization", "Cof-orthogonality"]
+    entries = {e.axiom: e for e in report.entries}
+    comp, mc3 = entries["MC1-composition"], entries["MC3-two-of-three"]
+    assert (comp.status, comp.detail) == ("fail", "We not closed under composition")
+    assert [corpus_index(corpus, F) for F in comp.counterexample] == [6, 12]
+    f, g = comp.counterexample
+    assert (f.source.name, f.target.name, g.target.name) == ("1", "K0", "1")
+    assert (mc3.status, mc3.detail) == ("fail", "exactly two of three in We")
+    assert [corpus_index(corpus, F) for F in mc3.counterexample] == [0, 1]
