@@ -2,7 +2,7 @@
 
 Subpackages and modules:
     fincat    -- finite categories, functors, quivers, (co)limits
-    lifting   -- generic orthogonality / retract / cell / model-axiom checkers
+    lifting   -- orthogonality / retract / cell / model-axiom checkers over CatAmbient
     catmodel  -- the natural model structure on Cat
     complexes -- bounded rational cochain complexes
     linalg    -- exact linear algebra over the rationals

@@ -1,22 +1,25 @@
-"""The finite-category instance of the generic lifting interface."""
+"""The finite-category ambient of the lifting checkers."""
 
 from __future__ import annotations
 
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.core import identity_functor
 from ..fincat.diagrams import CatDiagram, colimit
-from ..lifting.core import Ambient
+from ..lifting.search import (OrthogonalityResult, enumerate_squares, find_lifting,
+                              is_orthogonal)
 
 
-class CatAmbient(Ambient):
+class CatAmbient:
     """Morphisms are functors between finite categories; everything is
-    enumerable, and functor sets are cached per (source, target) pair."""
-
-    name = "Cat"
+    enumerable, and functor sets are cached per (source, target) pair.
+    Functors and categories are hashable with `==` agreeing with `equal`, so
+    the derived facts below are memoized per value for the life of the
+    ambient."""
 
     def __init__(self):
-        super().__init__()
         self._fun_cache: dict = {}
+        self._orth_memo: dict = {}
+        self._section_memo: dict = {}
 
     def equal(self, f: Functor, g: Functor) -> bool:
         return f == g
@@ -100,13 +103,51 @@ class CatAmbient(Ambient):
     def attachment_squares(self, generators, f: Functor):
         """All commuting squares from the generators into f (the bounded
         index set of the small object argument)."""
-        from ..lifting.search import enumerate_squares, find_lifting
         out = []
         for gen in generators:
             for sq in enumerate_squares(self, gen, f):
                 if find_lifting(sq) is None:
                     out.append((gen, sq.top, sq.bottom))
         return out
+
+    # -- derived operations, memoized per ambient ----------------------------
+
+    def orthogonal(self, f, g):
+        """f perp g, memoized per (f, g) for as long as this ambient lives;
+        a checker that wants fresh answers builds a fresh ambient.  The
+        result is shared between callers and must not be mutated.  A search
+        that runs out of budget raises and stores nothing.  `is_orthogonal`
+        is the uncached primitive."""
+        key = (f, g)
+        res = self._orth_memo.get(key)
+        if res is None:
+            res = self._orth_memo[key] = is_orthogonal(self, f, g)
+        return res
+
+    def section_pairs(self, x, x2):
+        """All (i: x -> x2, p: x2 -> x) with p o i = id_x, memoized per
+        (x, x2) for as long as this ambient lives."""
+        key = (x, x2)
+        pairs = self._section_memo.get(key)
+        if pairs is None:
+            idx = self.identity(x)
+            pairs = self._section_memo[key] = [
+                (i, p)
+                for i in self.morphisms_between(x, x2)
+                for p in self.morphisms_between(x2, x)
+                if self.equal(self.compose(p, i), idx)
+            ]
+        return pairs
+
+    def in_generators_perp(self, generators, p):
+        """Is p in generators^perp?  Tests each generator in turn."""
+        total = 0
+        for s in generators:
+            res = self.orthogonal(s, p)
+            total += res.squares_checked
+            if not res.orthogonal:
+                return OrthogonalityResult(False, res.counterexample, total)
+        return OrthogonalityResult(True, None, total)
 
     def induced_from_cells(self, stage, f: Functor, bottoms):
         """The unique map out of the pushout agreeing with f on the old part

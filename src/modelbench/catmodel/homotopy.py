@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fincat import Functor, NatTransf, enumerate_functors
-from ..fincat.enumfun import are_naturally_isomorphic, natural_isos
+from ..fincat.enumfun import natural_isos
 from .interval import cylinder, hom_from_interval, path_object, _pair, _triple
 
 
@@ -91,8 +91,7 @@ def naturally_isomorphic(F: Functor, G: Functor) -> NatIsoDecision:
     """Decide F ~= G three independent ways and insist the answers agree."""
     if F.source != G.source or F.target != G.target:
         raise ValueError("parallel functors required")
-    etas = natural_isos(F, G)
-    eta = etas[0] if etas else None
+    eta = natural_isos(F, G)
     H = _cylinder_route(F, G)
     K = _path_route(F, G)
     routes = (eta is not None, H is not None, K is not None)
@@ -114,7 +113,7 @@ def ho_hom(C, D):
     classes: list[list] = []
     for F in fns:
         for cls in classes:
-            if are_naturally_isomorphic(cls[0], F):
+            if natural_isos(cls[0], F) is not None:
                 cls.append(F)
                 break
         else:

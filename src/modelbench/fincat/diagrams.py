@@ -229,7 +229,7 @@ class SaturationResult:
     status: str                      # "total", "possibly_infinite" or "census"
     category: FinCat | None
     class_count: int
-    explored_len: int
+    explored_len: int                # the last horizon whose closure completed
     class_reps: list = field(default_factory=list)
     path_class: dict = field(default_factory=dict)   # path key -> class rep key
 
@@ -244,19 +244,16 @@ def _path_key(src, arrows):
 
 def _closure_at(pres: CatPresentation, L: int):
     """Congruence closure of the relation on all paths of length <= L.
-    Returns (paths, find) or None when the path count explodes."""
+    Returns (endpoints, find, rank), or None at the first path past
+    PATH_BUDGET."""
     Q = pres.quiver
-    paths = {}
-    layer = [ _path_key(v, ()) for v in Q.vertices ]
-    for k in layer:
-        paths[k] = (k[0], k[0])
     out_arrows = {}
     in_arrows = {}
     for (a, s, t) in Q.arrows:
         out_arrows.setdefault(s, []).append((a, t))
         in_arrows.setdefault(t, []).append((a, s))
-    frontier = layer
-    endpoints = {k: (k[0], k[0]) for k in layer}
+    frontier = [_path_key(v, ()) for v in Q.vertices]
+    endpoints = {k: (k[0], k[0]) for k in frontier}
     for _ in range(L):
         nxt = []
         for k in frontier:
@@ -266,10 +263,10 @@ def _closure_at(pres: CatPresentation, L: int):
                 nk = _path_key(src, (a,) + arrows)
                 if nk not in endpoints:
                     endpoints[nk] = (src, t2)
+                    if len(endpoints) > PATH_BUDGET:
+                        return None
                     nxt.append(nk)
         frontier = nxt
-        if len(endpoints) > PATH_BUDGET:
-            return None
     parent = {k: k for k in endpoints}
 
     def find(k):
@@ -297,17 +294,15 @@ def _closure_at(pres: CatPresentation, L: int):
         # propagate: extend both sides by one arrow on either end
         src, tgt = endpoints[ra][0], endpoints[ra][1]
         for (a, _) in out_arrows.get(tgt, ()):
-            for (x, y) in ((ra, rb),):
-                na = _path_key(x[0], (a,) + x[1])
-                nb = _path_key(y[0], (a,) + y[1])
-                if na in endpoints and nb in endpoints:
-                    queue.append((na, nb))
+            na = _path_key(ra[0], (a,) + ra[1])
+            nb = _path_key(rb[0], (a,) + rb[1])
+            if na in endpoints and nb in endpoints:
+                queue.append((na, nb))
         for (a, s2) in in_arrows.get(src, ()):
-            for (x, y) in ((ra, rb),):
-                na = _path_key(s2, x[1] + (a,))
-                nb = _path_key(s2, y[1] + (a,))
-                if na in endpoints and nb in endpoints:
-                    queue.append((na, nb))
+            na = _path_key(s2, ra[1] + (a,))
+            nb = _path_key(s2, rb[1] + (a,))
+            if na in endpoints and nb in endpoints:
+                queue.append((na, nb))
     return endpoints, find, rank
 
 
@@ -323,10 +318,12 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
     min_len = max([2] + [len(p[1]) for rel in pres.relations for p in rel])
     lengths = [fixed_len] if fixed_len is not None else list(range(min_len, max_len + 1))
     last_count = None
+    last_len = 0            # the last horizon whose closure completed
     for L in lengths:
         closed = _closure_at(pres, L)
         if closed is None:
             break
+        last_len = L
         endpoints, find, rank = closed
         classes: dict = {}
         for k in endpoints:
@@ -348,7 +345,7 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
                                         class_reps=sorted(reps.values(), key=rank),
                                         path_class=path_class)
         last_count = count
-    return SaturationResult("possibly_infinite", None, last_count or 0, lengths[-1])
+    return SaturationResult("possibly_infinite", None, last_count or 0, last_len)
 
 
 def _mor_name(rep_key):

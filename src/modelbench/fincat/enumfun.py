@@ -120,22 +120,23 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
     return results
 
 
-def natural_isos(F: Functor, G: Functor):
+def natural_isos(F: Functor, G: Functor) -> NatTransf | None:
     """The first natural isomorphism F => G found by backtracking over
-    iso components, as a one-element list, or [] when there is none."""
+    iso components, or None when there is none."""
     C, D = F.source, F.target
     objs = list(C.objects)
-    results = []
     nodes = 0
     budget = NODE_BUDGET
 
-    mors_between: dict[tuple[int, int], list] = {}
+    # each morphism under the position of its later endpoint, where its
+    # naturality square becomes checkable
+    mors_between: dict[int, list] = {}
     pos = {x: i for i, x in enumerate(objs)}
     for (f, x, y) in C.morphisms:
-        mors_between.setdefault((max(pos[x], pos[y]), 0), []).append((f, x, y))
+        mors_between.setdefault(max(pos[x], pos[y]), []).append((f, x, y))
 
     def naturality_ok(k, comp):
-        for (f, x, y) in mors_between.get((k, 0), ()):
+        for (f, x, y) in mors_between.get(k, ()):
             lhs = D.compose(comp[y], F.mor_map[f])
             rhs = D.compose(G.mor_map[f], comp[x])
             if lhs != rhs:
@@ -145,8 +146,7 @@ def natural_isos(F: Functor, G: Functor):
     def assign(k, comp):
         nonlocal nodes
         if k == len(objs):
-            results.append(NatTransf(F, G, dict(comp)))
-            return False
+            return NatTransf(F, G, dict(comp))
         x = objs[k]
         for c in D.hom(F.obj_map[x], G.obj_map[x]):
             if not D.is_iso(c):
@@ -155,17 +155,14 @@ def natural_isos(F: Functor, G: Functor):
             if nodes > budget:
                 raise GuardExceeded(f"natural iso search exceeded {budget} nodes")
             comp[x] = c
-            if naturality_ok(k, comp) and not assign(k + 1, comp):
-                return False
+            if naturality_ok(k, comp):
+                found = assign(k + 1, comp)
+                if found is not None:
+                    return found
             del comp[x]
-        return True
+        return None
 
-    assign(0, {})
-    return results
-
-
-def are_naturally_isomorphic(F: Functor, G: Functor) -> bool:
-    return bool(natural_isos(F, G))
+    return assign(0, {})
 
 
 def find_category_isomorphism(C: FinCat, D: FinCat):
@@ -199,10 +196,10 @@ def find_quasi_inverse(F: Functor):
     brute force.  Returns None when no candidate works."""
     C, D = F.source, F.target
     for G in enumerate_functors(D, C):
-        etas = natural_isos(G.then(F), identity_functor(D))
-        if not etas:
+        eps = natural_isos(G.then(F), identity_functor(D))
+        if eps is None:
             continue
-        eps = natural_isos(F.then(G), identity_functor(C))
-        if eps:
-            return G, eps[0], etas[0]
+        eta = natural_isos(F.then(G), identity_functor(C))
+        if eta is not None:
+            return G, eta, eps
     return None

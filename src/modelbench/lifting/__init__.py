@@ -1,12 +1,10 @@
-from .core import Ambient, Square, LiftWitness, RetractWitness, CellComplexWitness, ModelTriple
+from .core import Square, LiftWitness, RetractWitness, CellComplexWitness, ModelTriple
 from .search import find_lifting, is_orthogonal, find_retract
 from .cells import cell_step, small_object_factorization
 from .axioms import check_model_axioms
-from .homotopy import cylinder_homotopy_check, path_homotopy_check, HomotopyWitness
 
 __all__ = [
-    "Ambient", "Square", "LiftWitness", "RetractWitness", "CellComplexWitness",
+    "Square", "LiftWitness", "RetractWitness", "CellComplexWitness",
     "ModelTriple", "find_lifting", "is_orthogonal", "find_retract",
     "cell_step", "small_object_factorization", "check_model_axioms",
-    "cylinder_homotopy_check", "path_homotopy_check", "HomotopyWitness",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Ambient, ModelTriple
+from .core import ModelTriple
 from .search import find_retract
 
 
@@ -42,7 +42,7 @@ def _classes(triple: ModelTriple):
     return [("Cof", triple.cof), ("We", triple.we), ("Fib", triple.fib)]
 
 
-def check_model_axioms(a: Ambient, triple: ModelTriple, corpus,
+def check_model_axioms(a, triple: ModelTriple, corpus,
                        factorizations=None) -> ModelAxiomReport:
     """corpus: finite list of morphisms.  `factorizations(f)` returns
     ((i, p), (j, q)) realizing MC5 for f, or None to skip MC5 for f."""

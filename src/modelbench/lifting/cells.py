@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Ambient, CellComplexWitness, CellStage
+from .core import CellComplexWitness, CellStage
 
 
-def cell_step(a: Ambient, obj, attachments) -> CellStage:
+def cell_step(a, obj, attachments) -> CellStage:
     """One pushout stage.  `attachments` is a list of (generator, attach)
     with attach: dom(generator) -> obj.  The returned stage carries the
     inclusion obj -> result and the pushed-forward cell maps, and the
@@ -42,14 +42,18 @@ class FactorizationResult:
         return self.witness.composite()
 
 
-def small_object_factorization(a: Ambient, generators, f, max_stages=8) -> FactorizationResult:
-    """Stagewise factorization of f through pushouts of generator cells.
+def small_object_factorization(a, generators, f, max_stages=8) -> FactorizationResult:
+    """Stagewise factorization of the functor f through pushouts of
+    generator cells, in the `CatAmbient` a.
 
-    The ambient supplies `attachment_squares(generators, g)` (the bounded
-    stand-in for the index set of all commuting squares at a stage),
-    `induced_from_cells(stage, g, bottoms)` and `in_generators_perp`.
-    Stops early once the right leg tests orthogonal to the generators;
-    `partial` or `stuck` otherwise.
+    Each stage attaches one cell per square from `a.attachment_squares`
+    (the commuting squares from a generator into the current right leg that
+    admit no lift, the bounded stand-in for the index set of the small
+    object argument), pushes them out with `a.attach_cells` and takes the
+    induced right leg from `a.induced_from_cells`.  Stops early once the
+    right leg tests orthogonal to the generators (`factored`); `stuck` when
+    no square is left to attach, `partial` after `max_stages`.  A cell
+    pushout that does not saturate to a finite category raises ValueError.
     """
     source = a.dom(f)
     stages = []

@@ -1,10 +1,10 @@
-"""Generic lifting machinery, parameterized over an ambient category.
+"""Squares, witnesses and the model triple of the lifting checkers.
 
-An Ambient wraps a category of models (so far finite categories, through
-`CatAmbient`) behind a small morphism-level interface: equality,
-composition, identities, and enumeration of the morphisms between two
-objects.  All certificates carry enough data to be re-verified against the
-ambient alone.
+The checkers run over one ambient, `catmodel.CatAmbient`: morphisms are
+functors, and it supplies equality, composition, identities, enumeration
+of the functors between two categories, and the memoized orthogonality and
+section pairs.  Every witness holds its ambient and re-verifies itself
+against it alone.
 """
 
 from __future__ import annotations
@@ -12,103 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class Ambient:
-    """Interface consumed by the generic checkers.  Morphisms are opaque
-    values; the ambient interprets them.  Morphisms and objects must be
-    hashable, with `==` agreeing with `equal`: the derived facts below are
-    memoized per value for the life of the ambient."""
-
-    name = "ambient"
-
-    def __init__(self):
-        self._orth_memo: dict = {}
-        self._section_memo: dict = {}
-
-    def equal(self, f, g) -> bool:
-        raise NotImplementedError
-
-    def compose(self, g, f):
-        """g after f."""
-        raise NotImplementedError
-
-    def identity(self, obj):
-        raise NotImplementedError
-
-    def dom(self, f):
-        raise NotImplementedError
-
-    def cod(self, f):
-        raise NotImplementedError
-
-    def is_iso(self, f) -> bool:
-        raise NotImplementedError
-
-    # -- enumeration -----------------------------------------------------
-
-    def morphisms_between(self, x, y):
-        raise NotImplementedError
-
-    def lift_candidates(self, square):
-        """Candidate diagonals for a commuting square; defaults to all
-        morphisms cod(left) -> dom(right)."""
-        return self.morphisms_between(self.cod(square.left), self.dom(square.right))
-
-    # -- colimit-flavoured capabilities (bounded) ------------------------
-
-    def attach_cells(self, obj, attachments):
-        """Pushout of a coproduct of generating morphisms along attaching
-        maps out of their domains.  Returns (new_obj, inclusion, cell_maps)
-        where cell_maps[i] is the image of the i-th generator's codomain."""
-        raise NotImplementedError
-
-    # -- derived operations (overridable with instance-specific algebra) --
-
-    def orthogonal(self, f, g):
-        """f perp g, memoized per (f, g) for as long as this ambient lives;
-        a checker that wants fresh answers builds a fresh ambient.  The
-        result is shared between callers and must not be mutated.  A search
-        that runs out of budget raises and stores nothing.  `is_orthogonal`
-        is the uncached primitive."""
-        key = (f, g)
-        res = self._orth_memo.get(key)
-        if res is None:
-            from .search import is_orthogonal
-            res = self._orth_memo[key] = is_orthogonal(self, f, g)
-        return res
-
-    def section_pairs(self, x, x2):
-        """All (i: x -> x2, p: x2 -> x) with p o i = id_x, memoized per
-        (x, x2) for as long as this ambient lives."""
-        key = (x, x2)
-        pairs = self._section_memo.get(key)
-        if pairs is None:
-            idx = self.identity(x)
-            pairs = self._section_memo[key] = [
-                (i, p)
-                for i in self.morphisms_between(x, x2)
-                for p in self.morphisms_between(x2, x)
-                if self.equal(self.compose(p, i), idx)
-            ]
-        return pairs
-
-    def in_generators_perp(self, generators, p):
-        """Is p in generators^perp?  Default: test each generator."""
-        from .search import OrthogonalityResult
-        total = 0
-        for s in generators:
-            res = self.orthogonal(s, p)
-            total += res.squares_checked
-            if not res.orthogonal:
-                return OrthogonalityResult(False, res.counterexample, total)
-        return OrthogonalityResult(True, None, total)
-
-
 @dataclass
 class Square:
     """Commuting square: right o top = bottom o left, with `left` the
     morphism lifted against `right`."""
 
-    ambient: Ambient
+    ambient: object
     left: object
     right: object
     top: object
@@ -139,7 +48,7 @@ class LiftWitness:
 class RetractWitness:
     """f is a retract of f2 via X -i-> X' -p-> X and Y -j-> Y' -q-> Y."""
 
-    ambient: Ambient
+    ambient: object
     f: object
     f2: object
     i: object
@@ -171,7 +80,7 @@ class CellStage:
 
 @dataclass
 class CellComplexWitness:
-    ambient: Ambient
+    ambient: object
     source: object
     stages: list            # list of CellStage
 

