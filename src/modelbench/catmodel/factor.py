@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.build import _pair, induced_category, induced_mor
 from .classify import FunctorClassification, classify
-from .interval import cylinder, hom_from_interval, _triple
+from .interval import cylinder, path_object, _triple
 
 
 @dataclass
@@ -163,7 +163,8 @@ def cocylinder_pullback_check(F: Functor, test_categories) -> UniversalCheck:
     pullback: cones from each test category factor uniquely through C'."""
     C, D = F.source, F.target
     fac = functor_cocylinder_factorization(F)
-    hom_id, hdata = hom_from_interval(D)
+    path = path_object(D)
+    hom_id, p0, p1 = path.path_cat, path.p0, path.p1
     k_obj = {}
     k_mor = {}
     for t in fac.cprime.objects:
@@ -177,12 +178,6 @@ def cocylinder_pullback_check(F: Functor, test_categories) -> UniversalCheck:
     if not K.validate().ok:
         raise AssertionError("remark homotopy K is not a functor")
     # square p0 o K = F o pr1
-    p0 = Functor("p0", hom_id, D,
-                 {t: hdata["objects"][t][0] for t in hom_id.objects},
-                 {m: hdata["morphisms"][m][0] for m in hom_id.morphism_ids})
-    p1 = Functor("p1", hom_id, D,
-                 {t: hdata["objects"][t][2] for t in hom_id.objects},
-                 {m: hdata["morphisms"][m][1] for m in hom_id.morphism_ids})
     if K.then(p0) != fac.pr1.then(F):
         raise AssertionError("pullback square does not commute")
     # equational chain: q = p1 K recovers F = q iota

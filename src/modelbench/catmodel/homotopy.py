@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ..fincat import Functor, NatTransf, enumerate_functors
 from ..fincat.enumfun import natural_isos
-from .interval import cylinder, hom_from_interval, path_object, _pair, _triple
+from .interval import cylinder, path_object, _pair, _triple
 
 
 @dataclass
@@ -77,7 +77,7 @@ def eta_to_path_homotopy(eta: NatTransf) -> Functor:
     """The explicit K sending C to the triple (F(C), eta_C, G(C))."""
     F, G = eta.F, eta.G
     C, D = F.source, F.target
-    path_cat, _ = hom_from_interval(D)
+    path_cat = path_object(D).path_cat
     obj = {x: _triple(F.obj_map[x], eta.at(x), G.obj_map[x]) for x in C.objects}
     mor = {m: f"{obj[C.dom[m]]}>{obj[C.cod[m]]}:({F.mor_map[m]},{G.mor_map[m]})"
            for m in C.morphism_ids}

@@ -24,7 +24,11 @@ class CylinderDiagram:
 
 def cylinder(C: FinCat) -> CylinderDiagram:
     """C + C --(iota0 + iota1)--> C x I --pr--> C, a very good cylinder:
-    the fold leg is an injection, pr an acyclic isofibration."""
+    the fold leg is an injection, pr an acyclic isofibration.  Built and
+    checked on the first call, then kept on the (immutable) category."""
+    cached = getattr(C, "_cylinder", None)
+    if cached is not None:
+        return cached
     I = interval_category()
     cyl = product(C, I)
     iotas = []
@@ -50,6 +54,7 @@ def cylinder(C: FinCat) -> CylinderDiagram:
         raise AssertionError("cylinder fold leg is not an injection")
     if C.objects and not diagram.pr_class.acyclic_isofibration:
         raise AssertionError("cylinder projection is not an acyclic isofibration")
+    C._cylinder = diagram
     return diagram
 
 
@@ -57,10 +62,12 @@ def _triple(d0, a, d1):
     return f"({d0},{a},{d1})"
 
 
-def hom_from_interval(D: FinCat) -> tuple[FinCat, dict]:
+def _hom_from_interval(D: FinCat) -> tuple[FinCat, dict, dict]:
     """The functor category Hom(I, D), realized as the category of triples
     (D0, alpha, D1) with alpha an isomorphism; morphisms are commuting
-    squares (f0, f1).  Triples are ordered by the target's iso list."""
+    squares (f0, f1).  Triples are ordered by the target's iso list.
+    Returns the category and the (D0, alpha, D1) and (f0, f1) of each of
+    its objects and morphisms."""
     objs = []
     data = {}
     for a in D.morphism_ids:
@@ -91,7 +98,7 @@ def hom_from_interval(D: FinCat) -> tuple[FinCat, dict]:
             (f0, f1) = mor_data[f]
             comp[(g, f)] = f"{fd}>{gc}:({D.compose(g0, f0)},{D.compose(g1, f1)})"
     cat = FinCat(f"Hom(I,{D.name})", objs, mors, ident, comp)
-    return cat, {"objects": data, "morphisms": mor_data}
+    return cat, data, mor_data
 
 
 @dataclass
@@ -109,9 +116,12 @@ class PathDiagram:
 
 def path_object(D: FinCat) -> PathDiagram:
     """D --const--> Hom(I, D) --(p0, p1)--> D x D, a very good path object:
-    const is an acyclic injection, the pairing an isofibration."""
-    path_cat, data = hom_from_interval(D)
-    obj_data, mor_data = data["objects"], data["morphisms"]
+    const is an acyclic injection, the pairing an isofibration.  Built and
+    checked on the first call, then kept on the (immutable) category."""
+    cached = getattr(D, "_path_object", None)
+    if cached is not None:
+        return cached
+    path_cat, obj_data, mor_data = _hom_from_interval(D)
     const = Functor(
         "const", D, path_cat,
         {x: _triple(x, D.identity[x], x) for x in D.objects},
@@ -137,4 +147,5 @@ def path_object(D: FinCat) -> PathDiagram:
         raise AssertionError("path constant leg is not an acyclic injection")
     if not diagram.pairing_class.isofibration:
         raise AssertionError("path pairing is not an isofibration")
+    D._path_object = diagram
     return diagram

@@ -21,7 +21,13 @@ class ValidationReport:
 
 class FinCat:
     """Finite category: objects, morphisms (id, dom, cod), identity table and
-    a total composition table on composable pairs."""
+    a total composition table on composable pairs.
+
+    Immutable after construction: the tables are copied in and never
+    written again, so facts derived from a category stay valid for its life
+    and are kept on the instance: `_iso_cache` (the inverses, filled by
+    `inverse_of`), and from `catmodel` the cylinder `_cylinder` and the
+    path object `_path_object`."""
 
     def __init__(self, name, objects, morphisms, identity, compose):
         self.name = name

@@ -20,6 +20,7 @@ from modelbench.catmodel import (
 from modelbench.catmodel.factor import cocylinder_pullback_check, cylinder_pushout_check
 from modelbench.catmodel.lifts import LiftPreconditionError
 from modelbench.fincat import (
+    FinCat,
     Functor,
     empty_category,
     enumerate_functors,
@@ -30,6 +31,7 @@ from modelbench.fincat import (
     unit_category,
 )
 from modelbench.fincat.core import identity_functor
+from modelbench.fincat.corpus import full_corpus
 from modelbench.fincat.enumfun import find_quasi_inverse, is_equivalence_structural
 from modelbench.lifting import Square, find_lifting, is_orthogonal
 
@@ -199,8 +201,7 @@ def test_cylinder_factorization_from_empty():
 def test_cocylinder_factorization_of_identity_is_hom_interval():
     C = interval_category()
     fac = functor_cocylinder_factorization(identity_functor(C))
-    from modelbench.catmodel.interval import hom_from_interval
-    hom_cat, _ = hom_from_interval(C)
+    hom_cat = path_object(C).path_cat
     assert find_category_isomorphism(fac.cprime, hom_cat) is not None
 
 
@@ -237,6 +238,39 @@ def test_path_object_interval_counts_isos():
 def test_cylinder_k2_object_count():
     cyl = cylinder(k_category(2))
     assert len(cyl.cyl.objects) == 4
+
+
+CYLINDER_FIELDS = ("cyl", "iota0", "iota1", "fold", "pr")
+PATH_FIELDS = ("path_cat", "const", "p0", "p1", "pairing")
+
+
+def test_cylinder_and_path_object_are_kept_on_the_category():
+    C = k_category(2)
+    assert cylinder(C) is cylinder(C)
+    assert path_object(C) is path_object(C)
+
+
+@pytest.mark.parametrize("name", list(full_corpus()))
+def test_kept_diagrams_equal_fresh_ones(name):
+    C = full_corpus()[name]
+    for build, fields in ((cylinder, CYLINDER_FIELDS), (path_object, PATH_FIELDS)):
+        build(C)
+        kept = build(C)
+        C2 = full_corpus()[name]
+        fresh = build(C2)
+        assert kept.base is C and fresh.base is C2
+        for f in fields:
+            assert getattr(kept, f) == getattr(fresh, f), f
+
+
+def test_same_name_categories_get_their_own_diagrams():
+    K0, I = k_category(0), interval_category()
+    twin = FinCat(K0.name, I.objects, I.morphisms, I.identity, I.compose_table)
+    assert twin != K0
+    assert len(path_object(K0).path_cat.objects) == 2    # the identities of K0
+    assert len(path_object(twin).path_cat.objects) == 4  # the isos of I
+    assert path_object(twin).base is twin
+    assert cylinder(twin).cyl != cylinder(K0).cyl
 
 
 # -- natural isomorphism decisions ------------------------------------------

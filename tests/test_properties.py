@@ -1,12 +1,15 @@
 """Property-based differential tests: the memoized routes of a long-lived
-ambient against the uncached routes on a fresh one."""
+ambient, and the cylinders and path objects kept on shared categories,
+against the uncached routes on fresh ones."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelbench.catmodel import CatAmbient
-from modelbench.fincat import enumerate_functors
-from modelbench.fincat.corpus import base_corpus
+from modelbench.catmodel import CatAmbient, ho_hom, naturally_isomorphic, path_object
+from modelbench.catmodel.homotopy import eta_to_path_homotopy
+from modelbench.fincat import Functor, enumerate_functors
+from modelbench.fincat.corpus import base_corpus, full_corpus
+from modelbench.fincat.enumfun import natural_isos
 from modelbench.lifting import find_retract, is_orthogonal
 
 _CATS = list(base_corpus().values())
@@ -55,3 +58,43 @@ def test_memoized_find_retract_matches_uncached_search(f, f2):
     else:
         assert w is not None and w.verify()
         assert all(MEMO.equal(u, v) for u, v in zip((w.i, w.p, w.j, w.q), want))
+
+
+# -- natural isomorphism: warm diagrams against cold categories ------------
+
+# The categories shared by every example, so the cylinders and path objects
+# kept on them are built once and reused.  At most 8 morphisms keeps the
+# path-route searches into Hom(I, D) fast.
+_FULL = full_corpus()
+SMALL = [n for n, C in _FULL.items() if len(C.morphisms) <= 8]
+PARALLEL = {(s, t): fs for s in SMALL for t in SMALL
+            if (fs := enumerate_functors(_FULL[s], _FULL[t]))}
+HO_HOM = {}     # (source, target) -> ho_hom classes on the shared categories
+
+
+@st.composite
+def parallel_pairs(draw):
+    key = draw(st.sampled_from(sorted(PARALLEL)))
+    fs = PARALLEL[key]
+    return key, draw(st.sampled_from(fs)), draw(st.sampled_from(fs))
+
+
+def cold_copy(key, F):
+    """F on freshly built copies of its source and target."""
+    cats = full_corpus()
+    return Functor(F.name, cats[key[0]], cats[key[1]], F.obj_map, F.mor_map)
+
+
+@SETTINGS
+@given(parallel_pairs())
+def test_naturally_isomorphic_matches_cold_natural_isos_and_ho_hom(pair):
+    key, F, G = pair
+    d = naturally_isomorphic(F, G)
+    assert d.agree
+    assert d.found == (natural_isos(cold_copy(key, F), cold_copy(key, G)) is not None)
+    if key not in HO_HOM:
+        HO_HOM[key] = ho_hom(*(_FULL[n] for n in key))
+    index = lambda H: next(n for n, cls in enumerate(HO_HOM[key]) if H in cls)
+    assert d.found == (index(F) == index(G))
+    if d.found:
+        assert eta_to_path_homotopy(d.eta).target is path_object(F.target).path_cat
