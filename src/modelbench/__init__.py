@@ -1,7 +1,7 @@
 """Desk-scale workbench for executable model structures.
 
 Subpackages and modules:
-    fincat    -- finite categories, functors, quivers, (co)limits
+    fincat    -- finite categories, functors, quivers, colimits
     lifting   -- orthogonality / retract / cell / model-axiom checkers over CatAmbient
     catmodel  -- the natural model structure on Cat
     complexes -- bounded rational cochain complexes

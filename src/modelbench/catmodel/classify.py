@@ -28,19 +28,6 @@ class FunctorClassification:
     def acyclic_isofibration(self):
         return self.isofibration and self.equivalence
 
-    def as_dict(self):
-        return {
-            "injection": self.injection,
-            "equivalence": self.equivalence,
-            "isofibration": self.isofibration,
-            "full": self.full,
-            "faithful": self.faithful,
-            "dense": self.dense,
-            "surjectiveOnObjects": self.surjective_on_objects,
-            "acyclicInjection": self.acyclic_injection,
-            "acyclicIsofibration": self.acyclic_isofibration,
-        }
-
 
 def is_isofibration(F: Functor) -> bool:
     """Every isomorphism out of an image object lifts to an isomorphism."""

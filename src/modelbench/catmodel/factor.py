@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.build import _pair, induced_category, induced_mor
 from .classify import FunctorClassification, classify
-from .interval import cylinder, path_object, _triple
+from .interval import cylinder, path_object, _iso_triples, _triple
 
 
 @dataclass
@@ -72,29 +72,14 @@ class CocylinderFactorization:
 
 def functor_cocylinder_factorization(F: Functor) -> CocylinderFactorization:
     C, D = F.source, F.target
-    objs = []
-    data = {}
-    for c in C.objects:
-        fc = F.obj_map[c]
-        for a in D.morphism_ids:
-            if D.dom[a] == fc and D.is_iso(a):
-                t = _triple(c, a, D.cod[a])
-                objs.append(t)
-                data[t] = (c, a, D.cod[a])
-    cprime, under = induced_category(f"cocyl({F.name})", objs, lambda t: data[t][0], C)
-
+    cprime, data, under, image = _iso_triples(F, f"cocyl({F.name})")
     iota_obj = {c: _triple(c, D.identity[F.obj_map[c]], F.obj_map[c]) for c in C.objects}
     iota = Functor("iota", C, cprime, iota_obj,
                    {m: induced_mor(iota_obj[C.dom[m]], iota_obj[C.cod[m]], m)
                     for m in C.morphism_ids})
-    q_obj = {t: data[t][2] for t in objs}
-    q_mor = {}
-    for (m, t1, t2) in cprime.morphisms:
-        a1, a2 = data[t1][1], data[t2][1]
-        q_mor[m] = D.compose(D.compose(a2, F.mor_map[under[m]]), D.inverse_of(a1))
-    q = Functor("q", cprime, D, q_obj, q_mor)
+    q = Functor("q", cprime, D, {t: data[t][2] for t in data}, image)
     pr1 = Functor("pr1", cprime, C,
-                  {t: data[t][0] for t in objs}, dict(under))
+                  {t: data[t][0] for t in data}, under)
     out = CocylinderFactorization(F, cprime, iota, q, pr1, data,
                                   classify(iota), classify(q))
     if iota.then(q) != F:
@@ -171,9 +156,7 @@ def cocylinder_pullback_check(F: Functor, test_categories) -> UniversalCheck:
         (c, a, d) = fac.triple_data[t]
         k_obj[t] = _triple(F.obj_map[c], a, d)
     for (m, t1, t2) in fac.cprime.morphisms:
-        f0 = F.mor_map[fac.pr1.mor_map[m]]
-        f1 = fac.q.mor_map[m]
-        k_mor[m] = f"{k_obj[t1]}>{k_obj[t2]}:({f0},{f1})"
+        k_mor[m] = induced_mor(k_obj[t1], k_obj[t2], F.mor_map[fac.pr1.mor_map[m]])
     K = Functor("K", fac.cprime, hom_id, k_obj, k_mor)
     if not K.validate().ok:
         raise AssertionError("remark homotopy K is not a functor")

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fincat import Functor, NatTransf, enumerate_functors
+from ..fincat.build import induced_mor
 from ..fincat.enumfun import natural_isos
 from .interval import cylinder, path_object, _pair, _triple
 
@@ -79,7 +80,7 @@ def eta_to_path_homotopy(eta: NatTransf) -> Functor:
     C, D = F.source, F.target
     path_cat = path_object(D).path_cat
     obj = {x: _triple(F.obj_map[x], eta.at(x), G.obj_map[x]) for x in C.objects}
-    mor = {m: f"{obj[C.dom[m]]}>{obj[C.cod[m]]}:({F.mor_map[m]},{G.mor_map[m]})"
+    mor = {m: induced_mor(obj[C.dom[m]], obj[C.cod[m]], F.mor_map[m])
            for m in C.morphism_ids}
     K = Functor("K(eta)", C, path_cat, obj, mor)
     if not K.validate().ok:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fincat import FinCat, Functor, coproduct, interval_category, product
-from ..fincat.build import _pair
+from ..fincat.build import _pair, induced_category, induced_mor
+from ..fincat.core import identity_functor
 from .classify import FunctorClassification, classify
 
 
@@ -62,47 +63,36 @@ def _triple(d0, a, d1):
     return f"({d0},{a},{d1})"
 
 
-def _hom_from_interval(D: FinCat) -> tuple[FinCat, dict, dict]:
-    """The functor category Hom(I, D), realized as the category of triples
-    (D0, alpha, D1) with alpha an isomorphism; morphisms are commuting
-    squares (f0, f1).  Triples are ordered by the target's iso list.
-    Returns the category and the (D0, alpha, D1) and (f0, f1) of each of
-    its objects and morphisms."""
-    objs = []
+def _iso_triples(F: Functor, name: str) -> tuple[FinCat, dict, dict, dict]:
+    """The category of triples (c, alpha, d) with c in F.source and
+    alpha: F(c) -> d an isomorphism of F.target, listed for each iso alpha
+    in the target's order, then each c with F(c) = dom alpha.  An arrow
+    (c1, a1, d1) -> (c2, a2, d2) is a morphism f: c1 -> c2, named by
+    induced_mor over f.  Returns the category, the (c, alpha, d) of each
+    triple, the f under each arrow, and its image a2 o F(f) o a1^-1 in the
+    target."""
+    C, D = F.source, F.target
+    fibre = {}
+    for c in C.objects:
+        fibre.setdefault(F.obj_map[c], []).append(c)
     data = {}
     for a in D.morphism_ids:
         if D.is_iso(a):
-            t = _triple(D.dom[a], a, D.cod[a])
-            objs.append(t)
-            data[t] = (D.dom[a], a, D.cod[a])
-    mors = []
-    mor_data = {}
-    for t1 in objs:
-        (d0, a, d1) = data[t1]
-        for t2 in objs:
-            (e0, b, e1) = data[t2]
-            for f0 in D.hom(d0, e0):
-                for f1 in D.hom(d1, e1):
-                    if D.compose(f1, a) == D.compose(b, f0):
-                        m = f"({f0},{f1})"
-                        mors.append((f"{t1}>{t2}:{m}", t1, t2))
-                        mor_data[f"{t1}>{t2}:{m}"] = (f0, f1)
-    ident = {t: f"{t}>{t}:({D.identity[data[t][0]]},{D.identity[data[t][2]]})"
-             for t in objs}
-    comp = {}
-    for (g, gd, gc) in mors:
-        for (f, fd, fc) in mors:
-            if fc != gd:
-                continue
-            (g0, g1) = mor_data[g]
-            (f0, f1) = mor_data[f]
-            comp[(g, f)] = f"{fd}>{gc}:({D.compose(g0, f0)},{D.compose(g1, f1)})"
-    cat = FinCat(f"Hom(I,{D.name})", objs, mors, ident, comp)
-    return cat, data, mor_data
+            for c in fibre.get(D.dom[a], ()):
+                data[_triple(c, a, D.cod[a])] = (c, a, D.cod[a])
+    cat, under = induced_category(name, list(data), lambda t: data[t][0], C)
+    image = {m: D.compose(D.compose(data[t2][1], F.mor_map[under[m]]),
+                          D.inverse_of(data[t1][1]))
+             for (m, t1, t2) in cat.morphisms}
+    return cat, data, under, image
 
 
 @dataclass
 class PathDiagram:
+    """Hom(I, D) as the category of triples (d0, alpha, d1) with alpha an
+    isomorphism of D.  An arrow lies over a morphism f0: d0 -> e0 of D;
+    its other leg is f1 = beta o f0 o alpha^-1, so p0 reads f0 and p1 f1."""
+
     base: FinCat
     path_cat: FinCat        # Hom(I, D)
     square: FinCat          # D x D
@@ -116,30 +106,27 @@ class PathDiagram:
 
 def path_object(D: FinCat) -> PathDiagram:
     """D --const--> Hom(I, D) --(p0, p1)--> D x D, a very good path object:
-    const is an acyclic injection, the pairing an isofibration.  Built and
-    checked on the first call, then kept on the (immutable) category."""
+    const is an acyclic injection, the pairing an isofibration.  Hom(I, D)
+    is the functor cocylinder of the identity of D: an arrow lies over f0,
+    and f1 = beta o f0 o alpha^-1.  Built and checked on the first call,
+    then kept on the (immutable) category."""
     cached = getattr(D, "_path_object", None)
     if cached is not None:
         return cached
-    path_cat, obj_data, mor_data = _hom_from_interval(D)
-    const = Functor(
-        "const", D, path_cat,
-        {x: _triple(x, D.identity[x], x) for x in D.objects},
-        {m: (f"{_triple(D.dom[m], D.identity[D.dom[m]], D.dom[m])}"
-             f">{_triple(D.cod[m], D.identity[D.cod[m]], D.cod[m])}:({m},{m})")
-         for m in D.morphism_ids},
-    )
+    path_cat, data, under, image = _iso_triples(identity_functor(D), f"Hom(I,{D.name})")
+    const_obj = {x: _triple(x, D.identity[x], x) for x in D.objects}
+    const = Functor("const", D, path_cat, const_obj,
+                    {m: induced_mor(const_obj[D.dom[m]], const_obj[D.cod[m]], m)
+                     for m in D.morphism_ids})
     p0 = Functor("p0", path_cat, D,
-                 {t: obj_data[t][0] for t in path_cat.objects},
-                 {m: mor_data[m][0] for m in path_cat.morphism_ids})
+                 {t: data[t][0] for t in path_cat.objects}, under)
     p1 = Functor("p1", path_cat, D,
-                 {t: obj_data[t][2] for t in path_cat.objects},
-                 {m: mor_data[m][1] for m in path_cat.morphism_ids})
+                 {t: data[t][2] for t in path_cat.objects}, image)
     square = product(D, D)
     pairing = Functor(
         "(p0,p1)", path_cat, square,
-        {t: _pair(obj_data[t][0], obj_data[t][2]) for t in path_cat.objects},
-        {m: _pair(mor_data[m][0], mor_data[m][1]) for m in path_cat.morphism_ids},
+        {t: _pair(data[t][0], data[t][2]) for t in path_cat.objects},
+        {m: _pair(under[m], image[m]) for m in path_cat.morphism_ids},
     )
     diagram = PathDiagram(D, path_cat, square, const, p0, p1, pairing,
                           classify(const), classify(pairing))

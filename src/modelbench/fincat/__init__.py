@@ -16,9 +16,8 @@ from .enumfun import (
     is_equivalence_structural,
     find_quasi_inverse,
 )
-from .congruence import HomCongruence, factor_category, standard_factorization, image_factorization
-from .quivers import Quiver, PathCategory, path_category, adjunction_check
-from .diagrams import CatDiagram, CatPresentation, limit, colimit_presentation, saturate
+from .quivers import Quiver, PathCategory, path_category
+from .diagrams import CatDiagram, CatPresentation, colimit_presentation, saturate
 
 __all__ = [
     "FinCat", "Functor", "NatTransf", "ValidationReport",
@@ -27,7 +26,6 @@ __all__ = [
     "GuardExceeded", "enumerate_functors", "natural_isos",
     "find_category_isomorphism", "is_equivalence_structural",
     "find_quasi_inverse",
-    "HomCongruence", "factor_category", "standard_factorization", "image_factorization",
-    "Quiver", "PathCategory", "path_category", "adjunction_check",
-    "CatDiagram", "CatPresentation", "limit", "colimit_presentation", "saturate",
+    "Quiver", "PathCategory", "path_category",
+    "CatDiagram", "CatPresentation", "colimit_presentation", "saturate",
 ]

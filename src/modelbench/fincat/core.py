@@ -144,14 +144,6 @@ class FinCat:
             classes.append(cls)
         return classes
 
-    def full_subcategory(self, objs, name=None):
-        objs = [x for x in self.objects if x in set(objs)]
-        mors = [(m, d, c) for (m, d, c) in self.morphisms if d in objs and c in objs]
-        keep = {m for (m, _, _) in mors}
-        comp = {k: v for k, v in self.compose_table.items() if k[0] in keep and k[1] in keep}
-        ident = {x: self.identity[x] for x in objs}
-        return FinCat(name or f"{self.name}|full", objs, mors, ident, comp)
-
 
 class Functor:
     """A functor given by its object and morphism maps.  Immutable after
@@ -245,13 +237,6 @@ class Functor:
         image = [self.obj_map[x] for x in self.source.objects]
         return all(any(D.isomorphic_objects(i, y) and D.isomorphic_objects(y, i)
                        for i in image) for y in D.objects)
-
-    def essential_image(self) -> FinCat:
-        D = self.target
-        image = {self.obj_map[x] for x in self.source.objects}
-        objs = [y for y in D.objects
-                if any(D.isomorphic_objects(i, y) and D.isomorphic_objects(y, i) for i in image)]
-        return D.full_subcategory(objs, name=f"Im({self.name})")
 
 
 def identity_functor(C: FinCat) -> Functor:

@@ -1,5 +1,5 @@
-"""Diagrams of finite categories: concrete limits, colimit presentations and
-their saturation to honest finite categories.
+"""Diagrams of finite categories: colimit presentations and their
+saturation to honest finite categories.
 
 The colimit of a diagram in Cat can be infinite (freely generated loops), so
 colimits are returned as quiver presentations; `saturate` runs a bounded
@@ -32,7 +32,7 @@ class CatDiagram:
         self.edges = dict(edges)    # shape morphism -> Functor
         for x in shape.objects:     # identity edges may be left implicit
             i = shape.identity[x]
-            if i not in self.edges:
+            if i not in self.edges and x in self.nodes:
                 self.edges[i] = identity_functor(self.nodes[x])
 
     def validate(self) -> ValidationReport:
@@ -45,7 +45,7 @@ class CatDiagram:
             if F is None:
                 failures.append(f"missing edge {m}")
                 continue
-            if F.source != self.nodes[d] or F.target != self.nodes[c]:
+            if F.source != self.nodes.get(d) or F.target != self.nodes.get(c):
                 failures.append(f"edge {m} has wrong endpoints")
         if failures:
             return ValidationReport(False, failures)
@@ -61,87 +61,6 @@ class CatDiagram:
                     failures.append(f"functoriality fails at ({g}, {f})")
                     return ValidationReport(False, failures)
         return ValidationReport(not failures, failures)
-
-
-def _tuple_name(parts):
-    return "<" + "|".join(parts) + ">"
-
-
-def limit(D: CatDiagram, name=None) -> tuple[FinCat, dict[str, Functor]]:
-    """The limit category of compatible tuples, with its projections."""
-    shape = D.shape
-    idx = list(shape.objects)
-    nonid = [(m, d, c) for (m, d, c) in shape.morphisms if m != shape.identity[d] or d != c]
-
-    def compatible(tup, component):
-        # component maps (node -> item); check C_alpha(item_d) == item_c
-        for (m, d, c) in shape.morphisms:
-            F = D.edges[m]
-            if component(F, tup[d]) != tup[c]:
-                return False
-        return True
-
-    objs = []
-    obj_tuples = {}
-
-    def gen_objs(k, tup):
-        if k == len(idx):
-            if compatible(tup, lambda F, x: F.obj_map[x]):
-                nm = _tuple_name([tup[i] for i in idx])
-                objs.append(nm)
-                obj_tuples[nm] = dict(tup)
-            return
-        for x in D.nodes[idx[k]].objects:
-            tup[idx[k]] = x
-            gen_objs(k + 1, tup)
-            del tup[idx[k]]
-
-    gen_objs(0, {})
-
-    mors = []
-    mor_tuples = {}
-
-    def gen_mors(src, tgt):
-        st, tt = obj_tuples[src], obj_tuples[tgt]
-
-        def rec(k, tup):
-            if k == len(idx):
-                if compatible(tup, lambda F, m: F.mor_map[m]):
-                    nm = _tuple_name([tup[i] for i in idx])
-                    mors.append((nm, src, tgt))
-                    mor_tuples[nm] = dict(tup)
-                return
-            i = idx[k]
-            for m in D.nodes[i].hom(st[i], tt[i]):
-                tup[i] = m
-                rec(k + 1, tup)
-                del tup[i]
-
-        rec(0, {})
-
-    for src in objs:
-        for tgt in objs:
-            gen_mors(src, tgt)
-
-    ident = {}
-    for o in objs:
-        ident[o] = _tuple_name([D.nodes[i].identity[obj_tuples[o][i]] for i in idx])
-    comp = {}
-    for (g, gd, gc) in mors:
-        for (f, fd, fc) in mors:
-            if fc != gd:
-                continue
-            gt, ft = mor_tuples[g], mor_tuples[f]
-            comp[(g, f)] = _tuple_name(
-                [D.nodes[i].compose(gt[i], ft[i]) for i in idx])
-    L = FinCat(name or f"lim({D.name})", objs, mors, ident, comp)
-    projections = {
-        i: Functor(f"pr_{i}", L, D.nodes[i],
-                   {o: obj_tuples[o][i] for o in objs},
-                   {m: mor_tuples[m][i] for (m, _, _) in mors})
-        for i in idx
-    }
-    return L, projections
 
 
 @dataclass
@@ -337,7 +256,7 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
             return SaturationResult("census", None, count, L,
                                     class_reps=sorted(reps.values(), key=rank),
                                     path_class=path_class)
-        M = max(len(r[1]) for r in reps.values())
+        M = max((len(r[1]) for r in reps.values()), default=0)
         if M <= L - 1 and 2 * M <= L:
             cat = _category_from_closure(pres, endpoints, find, rank, reps)
             if cat is not None and cat.validate().ok:

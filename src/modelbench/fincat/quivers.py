@@ -1,11 +1,10 @@
-"""Quivers, bounded path categories and the path/forgetful adjunction."""
+"""Quivers and their path categories truncated at a path length."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FinCat, Functor
-from .enumfun import enumerate_functors
+from .core import FinCat
 
 
 class Quiver:
@@ -118,69 +117,3 @@ def path_category(Q: Quiver, max_len: int) -> PathCategory:
     cat = FinCat(f"P({Q.name})<= {max_len}", list(Q.vertices), mors, ident, comp)
     return PathCategory(quiver=Q, max_len=max_len, total=total,
                         category=cat, paths=paths, overflow=overflow)
-
-
-def quiver_morphisms(Q: Quiver, C: FinCat):
-    """All quiver maps Q -> U(C): a vertex map plus a compatible arrow map."""
-    results = []
-
-    def assign_vertices(k, vmap):
-        if k == len(Q.vertices):
-            assign_arrows(0, dict(vmap), {})
-            return
-        for y in C.objects:
-            vmap[Q.vertices[k]] = y
-            assign_vertices(k + 1, vmap)
-            del vmap[Q.vertices[k]]
-
-    def assign_arrows(k, vmap, amap):
-        if k == len(Q.arrows):
-            results.append((dict(vmap), dict(amap)))
-            return
-        (a, s, t) = Q.arrows[k]
-        for m in C.hom(vmap[s], vmap[t]):
-            amap[a] = m
-            assign_arrows(k + 1, vmap, amap)
-            del amap[a]
-
-    if not Q.vertices:
-        return [({}, {})]
-    assign_vertices(0, {})
-    return results
-
-
-@dataclass
-class AdjunctionWitness:
-    functor_count: int
-    quiver_map_count: int
-    bijection_ok: bool
-    pairs: list
-
-
-def adjunction_check(Q: Quiver, C: FinCat) -> AdjunctionWitness:
-    """Explicit bijection Cat(P(Q), C) ~= Quiv(Q, U(C)), both sides fully
-    enumerated.  Requires an acyclic quiver (finite path category)."""
-    longest = Q.longest_path_length()
-    if longest is None:
-        raise ValueError("cyclic quiver: the path category is infinite")
-    pq = path_category(Q, longest)
-    assert pq.total
-    functors = enumerate_functors(pq.category, C)
-    qmaps = quiver_morphisms(Q, C)
-
-    def to_quiver_map(F: Functor):
-        vmap = {v: F.obj_map[v] for v in Q.vertices}
-        amap = {a: F.mor_map[path_name(s, (a,))] for (a, s, t) in Q.arrows}
-        return (vmap, amap)
-
-    images = [to_quiver_map(F) for F in functors]
-    seen = []
-    injective = True
-    for im in images:
-        if im in seen:
-            injective = False
-        seen.append(im)
-    surjective = all(qm in images for qm in qmaps)
-    ok = injective and surjective and len(functors) == len(qmaps)
-    return AdjunctionWitness(len(functors), len(qmaps), ok,
-                             list(zip(functors, images)))

@@ -1,23 +1,14 @@
-import pytest
-
 from modelbench.fincat import (
     FinCat,
-    Functor,
-    HomCongruence,
     coproduct,
     discrete_category,
     empty_category,
     enumerate_functors,
-    factor_category,
-    find_category_isomorphism,
-    image_factorization,
     interval_category,
     k_category,
     product,
-    standard_factorization,
     unit_category,
 )
-from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import a2_path_category, base_corpus
 
 
@@ -49,120 +40,6 @@ def test_product_and_coproduct_are_valid():
     assert coproduct(K2, I).validate().ok
     assert len(product(K2, I).objects) == 4
     assert len(coproduct(K2, I).morphisms) == 8
-
-
-# -- factor categories -------------------------------------------------
-
-
-def test_factor_by_equality_is_isomorphic():
-    K2 = k_category(2)
-    quotient, can = factor_category(K2, HomCongruence(K2, []))
-    assert find_category_isomorphism(quotient, K2) is not None
-    assert can.validate().ok
-
-
-def test_factor_k2_by_parallel_pair_gives_k1():
-    K2 = k_category(2)
-    quotient, can = factor_category(K2, HomCongruence(K2, [("a1", "a2")]))
-    assert find_category_isomorphism(quotient, k_category(1)) is not None
-    # the canonical functor is full, dense and the identity on objects
-    assert can.is_full() and can.is_dense()
-    assert all(can.obj_map[x] == x for x in K2.objects)
-
-
-def test_factor_interval_by_already_equal_pair():
-    I = interval_category()
-    # a o a_inv equals id_1 already, so the congruence is trivial
-    R = HomCongruence(I, [(I.compose("a", "a_inv"), "id_1")])
-    quotient, _ = factor_category(I, R)
-    assert find_category_isomorphism(quotient, I) is not None
-
-
-def test_congruence_rejects_mismatched_endpoints():
-    K2 = k_category(2)
-    with pytest.raises(ValueError):
-        HomCongruence(K2, [("a1", "id_0")])
-
-
-def test_canonical_functor_full_dense_for_random_congruences():
-    for C in (k_category(2), k_category(3), interval_category(), a2_path_category()):
-        pairs = []
-        for x in C.objects:
-            for y in C.objects:
-                hom = C.hom(x, y)
-                if len(hom) >= 2:
-                    pairs.append((hom[0], hom[1]))
-        quotient, can = factor_category(C, HomCongruence(C, pairs))
-        assert can.is_full() and can.is_dense()
-        assert quotient.validate().ok
-
-
-# -- the two factorizations ---------------------------------------------
-
-
-def collapse_k2_to_k1() -> Functor:
-    K2, K1 = k_category(2), k_category(1)
-    return Functor("collapse", K2, K1,
-                   {"0": "0", "1": "1"},
-                   {"id_0": "id_0", "id_1": "id_1", "a1": "a1", "a2": "a1"})
-
-
-def include_k0_in_k1() -> Functor:
-    K0, K1 = k_category(0), k_category(1)
-    return Functor("inc", K0, K1, {"0": "0", "1": "1"},
-                   {"id_0": "id_0", "id_1": "id_1"})
-
-
-def test_standard_factorization_identity():
-    I = interval_category()
-    sf = standard_factorization(identity_functor(I))
-    assert sf.f_tilde_equivalence and sf.f_full
-    assert find_category_isomorphism(sf.quotient, I) is not None
-    F = sf.recompose()
-    assert F.obj_map == identity_functor(I).obj_map
-    assert F.mor_map == identity_functor(I).mor_map
-
-
-def test_standard_factorization_collapse():
-    sf = standard_factorization(collapse_k2_to_k1())
-    assert sf.f_full and sf.f_tilde_equivalence
-    assert find_category_isomorphism(sf.quotient, k_category(1)) is not None
-    assert sf.f_tilde_faithful and sf.f_tilde_dense
-
-
-def test_standard_factorization_non_full():
-    sf = standard_factorization(include_k0_in_k1())
-    assert not sf.f_full
-    assert sf.f_tilde_faithful and sf.f_tilde_dense
-    assert not sf.f_tilde_equivalence
-
-
-def test_standard_factorization_equivalence_iff_full_on_small_corpus():
-    cats = [unit_category(), k_category(0), k_category(1), interval_category()]
-    for C in cats:
-        for D in cats:
-            for F in enumerate_functors(C, D):
-                sf = standard_factorization(F)
-                assert sf.f_tilde_equivalence == sf.f_full
-                assert sf.f_tilde_faithful and sf.f_tilde_dense
-                G = sf.recompose()
-                assert G.obj_map == F.obj_map and G.mor_map == F.mor_map
-
-
-def test_image_factorization_hom_sizes():
-    for F in (identity_functor(interval_category()), collapse_k2_to_k1(),
-              include_k0_in_k1()):
-        imf = image_factorization(F)
-        C, D = F.source, F.target
-        for x in C.objects:
-            for y in C.objects:
-                assert len(imf.c_f.hom(x, y)) == len(
-                    D.hom(F.obj_map[x], F.obj_map[y]))
-        assert imf.f2_equivalence_onto_image
-        G = imf.recompose()
-        assert G.obj_map == F.obj_map and G.mor_map == F.mor_map
-    imf = image_factorization(collapse_k2_to_k1())
-    assert find_category_isomorphism(imf.c_f, k_category(1)) is not None
 
 
 # -- enumeration ---------------------------------------------------------

@@ -1,18 +1,12 @@
-import pytest
-
 from modelbench.fincat import (
     CatDiagram,
     Functor,
     Quiver,
-    adjunction_check,
     coproduct,
     empty_category,
-    enumerate_functors,
     interval_category,
     k_category,
-    limit,
     path_category,
-    product,
     saturate,
     unit_category,
 )
@@ -23,12 +17,8 @@ from modelbench.fincat.diagrams import (
     colimit,
     colimit_presentation,
     discrete_shape,
-    limit as limit_op,
     pushout_diagram,
 )
-
-# limit is re-exported; keep one name locally
-del limit
 
 
 def unit_into(C, obj, name=None):
@@ -64,74 +54,6 @@ def test_empty_quiver_path_category():
     pc = path_category(Quiver("E", [], []), 3)
     assert pc.total
     assert pc.category.objects == [] and pc.category.morphisms == []
-
-
-# -- adjunction ----------------------------------------------------------
-
-
-def test_adjunction_a2_interval():
-    w = adjunction_check(a2_quiver(), interval_category())
-    assert w.bijection_ok
-    assert w.functor_count == w.quiver_map_count > 0
-
-
-def test_adjunction_empty_quiver():
-    w = adjunction_check(Quiver("E", [], []), k_category(2))
-    assert w.bijection_ok and w.functor_count == 1
-
-
-def test_adjunction_a2_unit():
-    w = adjunction_check(a2_quiver(), unit_category())
-    assert w.bijection_ok and w.functor_count == 1
-
-
-def test_adjunction_rejects_cyclic():
-    with pytest.raises(ValueError):
-        adjunction_check(jordan_quiver(), unit_category())
-
-
-# -- limits --------------------------------------------------------------
-
-
-def test_empty_diagram_limit_is_terminal():
-    D = CatDiagram("empty", empty_category(), {}, {})
-    L, _ = limit_op(D)
-    assert len(L.objects) == 1 and len(L.morphisms) == 1
-
-
-def test_product_via_limit_matches_direct_product():
-    C, I = k_category(2), interval_category()
-    D = CatDiagram("prod", discrete_shape(["a", "b"]), {"a": C, "b": I}, {})
-    L, projections = limit_op(D)
-    assert len(L.objects) == len(C.objects) * 2
-    assert L.validate().ok
-    direct = product(C, I)
-    assert len(L.morphisms) == len(direct.morphisms)
-    for name, pr in projections.items():
-        assert pr.validate().ok
-
-
-def test_equalizer_of_two_points_is_empty():
-    PA2 = a2_path_category()
-    i1, i2 = unit_into(PA2, "1"), unit_into(PA2, "2")
-    D = coequalizer_diagram(i1, i2)   # same shape works for the limit
-    L, _ = limit_op(D)
-    assert L.objects == [] and L.morphisms == []
-
-
-def test_limit_universal_property_sampled():
-    # cones over the discrete two-point diagram from a small test category
-    C, I = k_category(1), interval_category()
-    D = CatDiagram("prod", discrete_shape(["a", "b"]), {"a": C, "b": I}, {})
-    L, projections = limit_op(D)
-    T = k_category(0)
-    cones = [(f, g) for f in enumerate_functors(T, C) for g in enumerate_functors(T, I)]
-    for f, g in cones:
-        mediating = [
-            h for h in enumerate_functors(T, L)
-            if h.then(projections["a"]) == f and h.then(projections["b"]) == g
-        ]
-        assert len(mediating) == 1
 
 
 # -- colimits ------------------------------------------------------------
@@ -174,6 +96,18 @@ def test_pushout_over_empty_is_coproduct():
     assert len(result.category.morphisms) == len(C.morphisms) + 1
 
 
+def test_empty_colimits_are_total_and_empty():
+    e = empty_category()
+    empty_f = Functor("e", e, e, {}, {})
+    for D in (CatDiagram("e", e, {}, {}), pushout_diagram(empty_f, empty_f)):
+        pres, result, injections = colimit(D)
+        assert result.total, D.name
+        assert result.category.objects == [] and result.category.morphisms == []
+        assert sorted(injections) == sorted(D.shape.objects)
+        for inj in injections.values():
+            assert inj.validate().ok
+
+
 def test_objects_commute_with_colimits():
     # object classes of the presentation match the colimit of object sets
     PA2 = a2_path_category()
@@ -186,6 +120,16 @@ def test_diagram_validation():
     C = k_category(1)
     D = CatDiagram("d", discrete_shape(["a"]), {"a": C}, {})
     assert D.validate().ok
+
+
+def test_diagram_validation_reports_a_missing_node():
+    C = k_category(1)
+    shape = discrete_shape(["a", "b"])
+    # without and with an explicit edge at the missing node
+    for edges in ({}, {shape.identity["b"]: identity_functor(C)}):
+        report = CatDiagram("d", shape, {"a": C}, edges).validate()
+        assert not report.ok
+        assert "missing node b" in report.failures
 
 
 def test_diagram_validation_rejects_a_non_identity_identity_edge():
