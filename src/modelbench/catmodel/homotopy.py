@@ -5,6 +5,7 @@ Hom(I, D)), plus Hom sets of the homotopy category."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from ..fincat import Functor, NatTransf, enumerate_functors
 from ..fincat.build import induced_mor
@@ -43,11 +44,23 @@ def _cylinder_route(F: Functor, G: Functor):
 
 
 def _path_route(F: Functor, G: Functor):
-    C, D = F.source, F.target
-    path = path_object(D)
-    for K in enumerate_functors(C, path.path_cat):
-        if K.then(path.p0) == F and K.then(path.p1) == G:
-            return K
+    """The first functor K: C -> Hom(I, D) with K.p0 = F and K.p1 = G, or
+    None.  Such a K sends x to an object t with p0(t) = F(x) and
+    p1(t) = G(x), so the object images are pinned to those candidates
+    before each search.  The choices run in `product` order over
+    path_cat's object order, which is the order the unpinned search
+    assigns objects in, so the first K is the one an unpinned scan finds;
+    an x with no candidate leaves no K."""
+    C = F.source
+    path = path_object(F.target)
+    p0, p1 = path.p0.obj_map, path.p1.obj_map
+    choices = [[t for t in path.path_cat.objects
+                if p0[t] == F.obj_map[x] and p1[t] == G.obj_map[x]]
+               for x in C.objects]
+    for objs in product(*choices):
+        for K in enumerate_functors(C, path.path_cat, fixed_obj=dict(zip(C.objects, objs))):
+            if K.then(path.p0) == F and K.then(path.p1) == G:
+                return K
     return None
 
 
@@ -109,14 +122,26 @@ def naturally_isomorphic(F: Functor, G: Functor) -> NatIsoDecision:
 
 def ho_hom(C, D):
     """Hom in the homotopy category: functors C -> D up to natural
-    isomorphism, as a deterministic list of classes."""
-    fns = enumerate_functors(C, D)
+    isomorphism, as a deterministic list of classes.
+
+    Each functor F is keyed by the conjugacy class (`FinCat.conjugacy_class`)
+    of every F(m).  A natural isomorphism eta: F => G gives
+    G(m) = eta_y o F(m) o eta_x^-1, a conjugate of F(m), so isomorphic
+    functors share a key and `natural_isos` is only asked within a key's
+    bucket.  Natural isomorphism is an equivalence relation, so F matches at
+    most one class and no class outside its bucket: the classes, their
+    order and their members' order are those of testing F against every
+    class found so far."""
     classes: list[list] = []
-    for F in fns:
-        for cls in classes:
+    buckets: dict[tuple, list[list]] = {}
+    for F in enumerate_functors(C, D):
+        bucket = buckets.setdefault(
+            tuple(D.conjugacy_class(F.mor_map[m]) for m in C.morphism_ids), [])
+        for cls in bucket:
             if natural_isos(cls[0], F) is not None:
                 cls.append(F)
                 break
         else:
-            classes.append([F])
+            bucket.append([F])
+            classes.append(bucket[-1])
     return classes

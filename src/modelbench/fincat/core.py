@@ -26,8 +26,9 @@ class FinCat:
     Immutable after construction: the tables are copied in and never
     written again, so facts derived from a category stay valid for its life
     and are kept on the instance: `_iso_cache` (the inverses, filled by
-    `inverse_of`), and from `catmodel` the cylinder `_cylinder` and the
-    path object `_path_object`."""
+    `inverse_of`), `_conj_cache` (the conjugacy classes, filled by
+    `conjugacy_class`), and from `catmodel` the cylinder `_cylinder` and
+    the path object `_path_object`."""
 
     def __init__(self, name, objects, morphisms, identity, compose):
         self.name = name
@@ -42,6 +43,7 @@ class FinCat:
         for (m, d, c) in self.morphisms:
             self._hom.setdefault((d, c), []).append(m)
         self._iso_cache: dict[str, str] | None = None
+        self._conj_cache: dict[str, int] | None = None
 
     # -- basic access ---------------------------------------------------
 
@@ -126,6 +128,29 @@ class FinCat:
                         self._iso_cache[f_] = g
                         break
         return self._iso_cache.get(f)
+
+    def conjugacy_class(self, f) -> int:
+        """Index of f's conjugacy class: u and v are conjugate when
+        v = beta o u o alpha^-1 for isomorphisms alpha: dom u -> dom v and
+        beta: cod u -> cod v.  Isomorphisms compose, so the class of u is
+        exactly its set of such conjugates; classes are numbered in the
+        order of their first morphism."""
+        if self._conj_cache is None:
+            self._conj_cache = {}
+            isos_from = {}
+            for (a, d, _) in self.morphisms:
+                if self.is_iso(a):
+                    isos_from.setdefault(d, []).append(a)
+            classes = 0
+            for (u, d, c) in self.morphisms:
+                if u in self._conj_cache:
+                    continue
+                for a in isos_from[d]:
+                    ua = self.compose(u, self.inverse_of(a))
+                    for b in isos_from[c]:
+                        self._conj_cache[self.compose(b, ua)] = classes
+                classes += 1
+        return self._conj_cache[f]
 
     def is_iso(self, f) -> bool:
         return self.inverse_of(f) is not None
@@ -235,8 +260,8 @@ class Functor:
         """Essentially surjective: every target object isomorphic to an image."""
         D = self.target
         image = [self.obj_map[x] for x in self.source.objects]
-        return all(any(D.isomorphic_objects(i, y) and D.isomorphic_objects(y, i)
-                       for i in image) for y in D.objects)
+        # an iso i -> y has its inverse y -> i, so one direction suffices
+        return all(any(D.isomorphic_objects(i, y) for i in image) for y in D.objects)
 
 
 def identity_functor(C: FinCat) -> Functor:

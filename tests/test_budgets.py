@@ -3,7 +3,8 @@ lowers a module constant for its own duration only."""
 
 import pytest
 
-from modelbench.catmodel import CatAmbient, inc0, k2_to_k1
+from modelbench.catmodel import CatAmbient, ho_hom, homotopy, inc0, k2_to_k1
+from modelbench.catmodel.homotopy import _path_route
 from modelbench.fincat import (
     Functor,
     GuardExceeded,
@@ -16,7 +17,7 @@ from modelbench.fincat import (
 )
 from modelbench.fincat import diagrams, enumfun
 from modelbench.fincat.core import identity_functor
-from modelbench.fincat.corpus import a2_path_category
+from modelbench.fincat.corpus import a2_path_category, full_corpus
 from modelbench.lifting import is_orthogonal
 
 
@@ -48,6 +49,50 @@ def test_orthogonal_out_of_budget_leaves_no_memo(monkeypatch):
     got, want = a.orthogonal(f, g), is_orthogonal(CatAmbient(), f, g)
     assert (got.orthogonal, got.squares_checked) == (want.orthogonal, want.squares_checked)
     assert got.squares_checked > 0
+
+
+def test_path_route_and_ho_hom_out_of_budget_raise_never_answer(monkeypatch):
+    # at every lowered budget the pinned path route and the bucketed ho_hom
+    # either raise or give the full-budget answer: never "no K" and never
+    # a class split in two
+    cats = full_corpus()
+    C, D = cats["I"], cats["IxI"]
+    fs = enumerate_functors(C, D)
+    classes = ho_hom(C, D)
+    assert [len(cls) for cls in classes] == [len(fs)]
+    F, G = fs[0], fs[-1]
+    K = _path_route(F, G)
+    assert K is not None
+    raised = []
+    for budget in range(1, 80):
+        monkeypatch.setattr(enumfun, "NODE_BUDGET", budget)
+        for run, want in ((lambda: ho_hom(C, D), classes),
+                          (lambda: _path_route(F, G), K)):
+            try:
+                got = run()
+            except GuardExceeded:
+                raised.append(budget)
+                continue
+            assert got == want, budget
+    # the smallest budget runs out, and the sweep reaches budgets that answer
+    assert raised[0] == 1 and 79 not in raised
+
+
+def test_ho_hom_iso_search_out_of_budget_raises(monkeypatch):
+    # the budget lowered for the natural-iso searches alone, so the
+    # enumeration completes and a search inside a bucket runs out; that
+    # must not open a new class
+    cats = full_corpus()
+    C, D = cats["I"], cats["IxI"]
+
+    def starved(F, G):
+        with monkeypatch.context() as m:
+            m.setattr(enumfun, "NODE_BUDGET", 1)
+            return natural_isos(F, G)
+
+    monkeypatch.setattr(homotopy, "natural_isos", starved)
+    with pytest.raises(GuardExceeded):
+        ho_hom(C, D)
 
 
 def pushout_over_empty():

@@ -32,7 +32,11 @@ from modelbench.fincat import (
 )
 from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import full_corpus
-from modelbench.fincat.enumfun import find_quasi_inverse, is_equivalence_structural
+from modelbench.fincat.enumfun import (
+    find_quasi_inverse,
+    is_equivalence_structural,
+    natural_isos,
+)
 from modelbench.lifting import Square, find_lifting, is_orthogonal
 
 AMB = CatAmbient()
@@ -354,6 +358,28 @@ def test_ho_hom_i_i_two_ways():
 
 def test_ho_hom_k0_unit_singleton():
     assert len(ho_hom(k_category(0), unit_category())) == 1
+
+
+def test_ho_hom_matches_the_unbucketed_loop_on_every_corpus_pair():
+    # ho_hom only asks natural_isos within a conjugacy-key bucket; the plain
+    # loop tests each functor against every class found so far
+    cats = full_corpus()
+    key = lambda F: tuple(F.target.conjugacy_class(F.mor_map[m])
+                          for m in F.source.morphism_ids)
+    for a, C in cats.items():
+        for b, D in cats.items():
+            want = []
+            for F in enumerate_functors(C, D):
+                for cls in want:
+                    if natural_isos(cls[0], F) is not None:
+                        cls.append(F)
+                        break
+                else:
+                    want.append([F])
+            got = ho_hom(C, D)
+            assert got == want, (a, b)
+            for cls in got:
+                assert all(key(F) == key(cls[0]) for F in cls), (a, b)
 
 
 # -- universal property checks ----------------------------------------------

@@ -9,7 +9,7 @@ from modelbench.fincat import (
     product,
     unit_category,
 )
-from modelbench.fincat.corpus import a2_path_category, base_corpus
+from modelbench.fincat.corpus import a2_path_category, base_corpus, full_corpus
 
 
 def test_interval_category_is_valid():
@@ -83,3 +83,17 @@ def test_discrete_category_helper():
 def test_base_corpus_all_valid():
     for name, C in base_corpus().items():
         assert C.validate().ok, name
+
+
+def test_conjugacy_class_matches_its_definition():
+    # u ~ v when v o alpha = beta o u for isos alpha: dom u -> dom v and
+    # beta: cod u -> cod v
+    for name, C in full_corpus().items():
+        isos = lambda x, y: [a for a in C.hom(x, y) if C.is_iso(a)]
+        for (u, du, cu) in C.morphisms:
+            for (v, dv, cv) in C.morphisms:
+                conjugate = any(C.compose(v, a) == C.compose(b, u)
+                                for a in isos(du, dv) for b in isos(cu, cv))
+                same = C.conjugacy_class(u) == C.conjugacy_class(v)
+                assert same == conjugate, (name, u, v)
+

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelbench.catmodel import CatAmbient, ho_hom, naturally_isomorphic, path_object
-from modelbench.catmodel.homotopy import eta_to_path_homotopy
+from modelbench.catmodel.homotopy import _path_route, eta_to_path_homotopy
 from modelbench.fincat import Functor, enumerate_functors
 from modelbench.fincat.corpus import base_corpus, full_corpus
 from modelbench.fincat.enumfun import natural_isos
@@ -98,3 +98,15 @@ def test_naturally_isomorphic_matches_cold_natural_isos_and_ho_hom(pair):
     assert d.found == (index(F) == index(G))
     if d.found:
         assert eta_to_path_homotopy(d.eta).target is path_object(F.target).path_cat
+
+
+@SETTINGS
+@given(parallel_pairs())
+def test_pinned_path_route_matches_unpinned_scan(pair):
+    # the first K: C -> Hom(I, D) over (F, G) in the unpinned search order,
+    # or None when there is none
+    _, F, G = pair
+    path = path_object(F.target)
+    want = next((K for K in enumerate_functors(F.source, path.path_cat)
+                 if K.then(path.p0) == F and K.then(path.p1) == G), None)
+    assert _path_route(F, G) == want
