@@ -6,6 +6,9 @@ colimits are returned as quiver presentations; `saturate` runs a bounded
 congruence closure on paths and certifies the result exactly when the
 closure provably stabilizes (every path reduces to a strictly shorter
 representative and representative composites stay inside the horizon).
+The closure numbers the paths with integer ids and runs its union-find on
+them; the paths of a horizon are counted against PATH_BUDGET before any is
+built.
 """
 
 from __future__ import annotations
@@ -157,72 +160,171 @@ class SaturationResult:
         return self.status == "total"
 
 
-def _path_key(src, arrows):
-    return (src, tuple(arrows))
+def _rank(key):
+    """Order of path keys: shorter first, then arrows, then source."""
+    return (len(key[1]), key[1], key[0])
+
+
+def _count_paths(Q: Quiver, L: int) -> int:
+    """Number of paths of length <= L, from the number of paths of each
+    length that end at each vertex."""
+    ending = dict.fromkeys(Q.vertices, 1)
+    total = len(ending)
+    for _ in range(L):
+        longer = dict.fromkeys(ending, 0)
+        for (_, s, t) in Q.arrows:
+            longer[t] += ending[s]
+        ending = longer
+        total += sum(ending.values())
+    return total
+
+
+def _find(parent, p):
+    while parent[p] != p:
+        parent[p] = parent[parent[p]]
+        p = parent[p]
+    return p
+
+
+class _Closure:
+    """A congruence closure on integer path ids.
+
+    Path p runs from vertex src[p] to vertex tgt[p] (indices into
+    `vertices`) and has arrows (first[p],) + the arrows of tail[p]: first[p]
+    (an index into `names`) is the arrow applied last.  Ids below
+    len(vertices) are the identity paths, whose first and tail are -1.  The
+    root of each class in `parent` is its least member by `_rank`."""
+
+    def __init__(self, vertices, names, src, tgt, length, first, tail, parent):
+        self.vertices, self.names, self.src, self.tgt = vertices, names, src, tgt
+        self.length, self.first, self.tail, self.parent = length, first, tail, parent
+
+    def roots(self):
+        return [p for p, q in enumerate(self.parent) if p == q]
+
+    def keys(self):
+        """The (src, arrows) key of every path, by id."""
+        keys = [(v, ()) for v in self.vertices]
+        for p in range(len(keys), len(self.src)):
+            keys.append((self.vertices[self.src[p]],
+                         (self.names[self.first[p]],) + keys[self.tail[p]][1]))
+        return keys
 
 
 def _closure_at(pres: CatPresentation, L: int):
-    """Congruence closure of the relation on all paths of length <= L.
-    Returns (endpoints, find, rank), or None at the first path past
-    PATH_BUDGET."""
+    """Congruence closure of the relations on all paths of length <= L.
+
+    Paths are integer ids in breadth-first order: the identities in vertex
+    order, then each layer of the extensions a o p of the layer before, by
+    p and then by the quiver order of a.  So the extensions of a path p
+    shorter than L are the ids child[p] + place[a].  Returns a `_Closure`,
+    or None when more than PATH_BUDGET paths have length <= L; they are
+    counted before any is built.
+
+    Arrow names must be distinct and relation pairs parallel.  The pairs
+    are queued in order and popped last in, first out.  A merge makes the
+    root of lesser `_rank` the root of both, then queues both sides
+    whiskered by each arrow on either end when both whiskered paths are
+    within the horizon."""
     Q = pres.quiver
-    out_arrows = {}
-    in_arrows = {}
-    for (a, s, t) in Q.arrows:
-        out_arrows.setdefault(s, []).append((a, t))
-        in_arrows.setdefault(t, []).append((a, s))
-    frontier = [_path_key(v, ()) for v in Q.vertices]
-    endpoints = {k: (k[0], k[0]) for k in frontier}
-    for _ in range(L):
-        nxt = []
-        for k in frontier:
-            src, arrows = k
-            tgt = endpoints[k][1]
-            for (a, t2) in out_arrows.get(tgt, ()):   # extend: a o path
-                nk = _path_key(src, (a,) + arrows)
-                if nk not in endpoints:
-                    endpoints[nk] = (src, t2)
-                    if len(endpoints) > PATH_BUDGET:
-                        return None
-                    nxt.append(nk)
-        frontier = nxt
-    parent = {k: k for k in endpoints}
+    names = [a for (a, _, _) in Q.arrows]
+    aix = {a: i for i, a in enumerate(names)}
+    if len(aix) != len(names):      # path keys name their arrows
+        raise ValueError("arrow names must be distinct")
+    vertices = list(dict.fromkeys(Q.vertices))
+    n_paths = _count_paths(Q, L)
+    # counted as each path is added, so the identity paths alone never trip it
+    if n_paths > PATH_BUDGET and n_paths > len(vertices):
+        return None
+    V = len(vertices)
+    vix = {v: i for i, v in enumerate(vertices)}
+    a_src, a_tgt, place = [], [], []
+    out = [[] for _ in vertices]     # arrows leaving each vertex, in quiver order
+    into = [[] for _ in vertices]    # arrows entering each vertex, in quiver order
+    for i, (_, s, t) in enumerate(Q.arrows):
+        s, t = vix[s], vix[t]
+        a_src.append(s)
+        a_tgt.append(t)
+        place.append(len(out[s]))
+        out[s].append(i)
+        into[t].append(i)
+    name_rank = [0] * len(names)
+    for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+        name_rank[i] = r
+    out_tgt = [[a_tgt[a] for a in arrows] for arrows in out]
 
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
+    src, tgt = list(range(V)), list(range(V))
+    length, first, tail = [0] * V, [-1] * V, [-1] * V
+    child = []          # id of the first extension of each path shorter than L
+    full = 0            # paths with smaller ids are shorter than L
+    for n in range(1, L + 1):
+        layer_end = len(src)
+        for p in range(full, layer_end):
+            child.append(len(src))
+            v = tgt[p]
+            d = len(out[v])
+            src.extend([src[p]] * d)
+            tgt.extend(out_tgt[v])
+            length.extend([n] * d)
+            first.extend(out[v])
+            tail.extend([p] * d)
+        full = layer_end
 
-    def rank(k):
-        return (len(k[1]), k[1], k[0])
+    def path_id(v, arrows):
+        p = vix.get(v)
+        for name in reversed(arrows):
+            a = aix.get(name)
+            if p is None or p >= full or a is None or a_src[a] != tgt[p]:
+                return None
+            p = child[p] + place[a]
+        return p
+
+    def lower(p, q):
+        """_rank(p) < _rank(q) for distinct parallel paths p and q."""
+        if length[p] != length[q]:
+            return length[p] < length[q]
+        while first[p] == first[q]:
+            p, q = tail[p], tail[q]
+        return name_rank[first[p]] < name_rank[first[q]]
+
+    def places(p):
+        """The places of the arrows of p, innermost first."""
+        ks = []
+        while p >= V:
+            ks.append(place[first[p]])
+            p = tail[p]
+        ks.reverse()
+        return ks
 
     queue = []
     for (pa, pb) in pres.relations:
-        ka, kb = _path_key(*pa), _path_key(*pb)
-        if ka in endpoints and kb in endpoints:
-            queue.append((ka, kb))
+        ia, ib = path_id(*pa), path_id(*pb)
+        if ia is not None and ib is not None:
+            if (src[ia], tgt[ia]) != (src[ib], tgt[ib]):
+                raise ValueError(f"relation between non-parallel paths {pa} and {pb}")
+            queue.append((ia, ib))
+    parent = list(range(len(src)))
     while queue:
-        ka, kb = queue.pop()
-        ra, rb = find(ka), find(kb)
+        ia, ib = queue.pop()
+        ra, rb = _find(parent, ia), _find(parent, ib)
         if ra == rb:
             continue
-        if rank(rb) < rank(ra):
+        if lower(rb, ra):
             ra, rb = rb, ra
         parent[rb] = ra
-        # propagate: extend both sides by one arrow on either end
-        src, tgt = endpoints[ra][0], endpoints[ra][1]
-        for (a, _) in out_arrows.get(tgt, ()):
-            na = _path_key(ra[0], (a,) + ra[1])
-            nb = _path_key(rb[0], (a,) + rb[1])
-            if na in endpoints and nb in endpoints:
-                queue.append((na, nb))
-        for (a, s2) in in_arrows.get(src, ()):
-            na = _path_key(s2, ra[1] + (a,))
-            nb = _path_key(s2, rb[1] + (a,))
-            if na in endpoints and nb in endpoints:
-                queue.append((na, nb))
-    return endpoints, find, rank
+        if ra < full and rb < full:     # both have every one-arrow extension
+            ca, cb = child[ra], child[rb]
+            for k in range(len(out[tgt[ra]])):
+                queue.append((ca + k, cb + k))
+            ka, kb = places(ra), places(rb)
+            for a in into[src[ra]]:    # ra o a and rb o a
+                qa = qb = child[a_src[a]] + place[a]
+                for k in ka:
+                    qa = child[qa] + k
+                for k in kb:
+                    qb = child[qb] + k
+                queue.append((qa, qb))
+    return _Closure(vertices, names, src, tgt, length, first, tail, parent)
 
 
 def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationResult:
@@ -233,6 +335,11 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
     Otherwise the horizon grows until the closure stabilizes (then the
     result is exact) or a budget trips (then "possibly_infinite"): more
     than PATH_BUDGET paths, more than CLASS_BUDGET classes, or `max_len`.
+
+    The closure runs on integer path ids, and the paths of a horizon are
+    counted against PATH_BUDGET before any is built.  Paths become
+    (src, arrows) keys only for a census or a category attempt; a horizon
+    that does not stabilize needs only the roots of its classes.
     """
     min_len = max([2] + [len(p[1]) for rel in pres.relations for p in rel])
     lengths = [fixed_len] if fixed_len is not None else list(range(min_len, max_len + 1))
@@ -243,26 +350,24 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
         if closed is None:
             break
         last_len = L
-        endpoints, find, rank = closed
-        classes: dict = {}
-        for k in endpoints:
-            classes.setdefault(find(k), []).append(k)
-        reps = {r: min(members, key=rank) for r, members in classes.items()}
-        count = len(reps)
-        path_class = {k: reps[find(k)] for k in endpoints}
+        roots = closed.roots()      # one per class, its least member by _rank
+        count = len(roots)
         if count > CLASS_BUDGET:
             return SaturationResult("possibly_infinite", None, count, L)
-        if fixed_len is not None:
-            return SaturationResult("census", None, count, L,
-                                    class_reps=sorted(reps.values(), key=rank),
-                                    path_class=path_class)
-        M = max((len(r[1]) for r in reps.values()), default=0)
-        if M <= L - 1 and 2 * M <= L:
-            cat = _category_from_closure(pres, endpoints, find, rank, reps)
+        M = max((closed.length[r] for r in roots), default=0)
+        if fixed_len is not None or (M <= L - 1 and 2 * M <= L):
+            keys = closed.keys()
+            reps = sorted((keys[r] for r in roots), key=_rank)
+            path_class = {k: keys[_find(closed.parent, p)] for p, k in enumerate(keys)}
+            if fixed_len is not None:
+                return SaturationResult("census", None, count, L,
+                                        class_reps=reps, path_class=path_class)
+            ends = {keys[r]: (closed.vertices[closed.src[r]], closed.vertices[closed.tgt[r]])
+                    for r in roots}
+            cat = _category_from_closure(pres.quiver, reps, ends, path_class)
             if cat is not None and cat.validate().ok:
                 return SaturationResult("total", cat, count, L,
-                                        class_reps=sorted(reps.values(), key=rank),
-                                        path_class=path_class)
+                                        class_reps=reps, path_class=path_class)
         last_count = count
     return SaturationResult("possibly_infinite", None, last_count or 0, last_len)
 
@@ -271,22 +376,21 @@ def _mor_name(rep_key):
     return f"[{path_name(rep_key[0], rep_key[1])}]"
 
 
-def _category_from_closure(pres, endpoints, find, rank, reps):
-    Q = pres.quiver
-    classes = sorted(reps.values(), key=rank)
-    name_of = {r: _mor_name(r) for r in classes}
-    rep_of_key = {k: reps[find(k)] for k in endpoints}
-    mors = [(name_of[r], endpoints[r][0], endpoints[r][1]) for r in classes]
-    ident = {v: name_of[rep_of_key[_path_key(v, ())]] for v in Q.vertices}
+def _category_from_closure(Q, reps, ends, path_class):
+    """The category on the class representatives `reps` (in `_rank` order),
+    or None when a composite of two of them is past the horizon."""
+    name_of = {r: _mor_name(r) for r in reps}
+    mors = [(name_of[r], *ends[r]) for r in reps]
+    ident = {v: name_of[path_class[(v, ())]] for v in Q.vertices}
     comp = {}
-    for r1 in classes:          # r1 = g: v -> w
-        for r2 in classes:      # r2 = f: u -> v
-            if endpoints[r2][1] != endpoints[r1][0]:
+    for r1 in reps:             # r1 = g: v -> w
+        for r2 in reps:         # r2 = f: u -> v
+            if ends[r2][1] != ends[r1][0]:
                 continue
-            k = _path_key(endpoints[r2][0], r1[1] + r2[1])
-            if k not in rep_of_key:
+            k = (r2[0], r1[1] + r2[1])
+            if k not in path_class:
                 return None
-            comp[(name_of[r1], name_of[r2])] = name_of[rep_of_key[k]]
+            comp[(name_of[r1], name_of[r2])] = name_of[path_class[k]]
     return FinCat("colim", Q.vertices, mors, ident, comp)
 
 
@@ -347,7 +451,7 @@ def colimit(D: CatDiagram, max_len=10):
             for m in C.morphism_ids:
                 a = pres.arrow_tag[(i, m)]
                 src = pres.object_class[(i, C.dom[m])]
-                key = result.path_class[_path_key(src, (a,))]
+                key = result.path_class[(src, (a,))]
                 mmap[m] = _mor_name(key)
             injections[i] = Functor(f"in_{i}", C, cat, omap, mmap)
     return pres, result, injections

@@ -120,14 +120,33 @@ def test_saturate_past_path_budget_is_possibly_infinite(monkeypatch):
     assert result.status == "possibly_infinite" and result.category is None
 
 
-def test_saturate_past_path_budget_reports_last_completed_horizon(monkeypatch):
-    # the Jordan coequalizer: four loops on one vertex, so the closure at
-    # L = 3 holds 85 paths and the one at L = 4 passes 100
+def jordan_coequalizer():
+    """The Jordan coequalizer: four loops on one vertex, so 21, 85, 341 and
+    1,365 paths of length <= 2, 3, 4 and 5, and L + 1 classes at each L."""
     PA2 = a2_path_category()
     i1 = Functor("pick_1", unit_category(), PA2, {"*": "1"}, {"id_*": PA2.identity["1"]})
     i2 = Functor("pick_2", unit_category(), PA2, {"*": "2"}, {"id_*": PA2.identity["2"]})
-    pres = diagrams.colimit_presentation(diagrams.coequalizer_diagram(i1, i2))
+    return diagrams.colimit_presentation(diagrams.coequalizer_diagram(i1, i2))
+
+
+def test_saturate_past_path_budget_reports_last_completed_horizon(monkeypatch):
+    # the closure at L = 3 holds 85 paths and the one at L = 4 passes 100
     monkeypatch.setattr(diagrams, "PATH_BUDGET", 100)
-    result = diagrams.saturate(pres)
+    result = diagrams.saturate(jordan_coequalizer())
     assert (result.status, result.class_count, result.explored_len) == (
         "possibly_infinite", 4, 3)
+
+
+@pytest.mark.parametrize("L,paths", [(2, 21), (3, 85), (4, 341), (5, 1365)])
+def test_saturate_path_budget_boundary(monkeypatch, L, paths):
+    # exactly `paths` paths fit horizon L; one fewer stops the horizon at L - 1
+    # (at L = 2, the first horizon, nothing completes)
+    pres = jordan_coequalizer()
+    monkeypatch.setattr(diagrams, "PATH_BUDGET", paths)
+    result = diagrams.saturate(pres)
+    assert (result.status, result.class_count, result.explored_len) == (
+        "possibly_infinite", L + 1, L)
+    monkeypatch.setattr(diagrams, "PATH_BUDGET", paths - 1)
+    result = diagrams.saturate(pres)
+    assert (result.status, result.class_count, result.explored_len) == (
+        ("possibly_infinite", 0, 0) if L == 2 else ("possibly_infinite", L, L - 1))

@@ -1,5 +1,8 @@
+import pytest
+
 from modelbench.fincat import (
     CatDiagram,
+    CatPresentation,
     Functor,
     Quiver,
     coproduct,
@@ -143,3 +146,13 @@ def test_diagram_validation_rejects_a_non_identity_identity_edge():
     # swap o swap = id differs from swap, so functoriality fails as well
     assert report.failures == ["identity edge at a is not the identity functor",
                                "functoriality fails at (id_a, id_a)"]
+
+
+@pytest.mark.parametrize("arrows,relations,error", [
+    ([("f", "x", "y")], [(("x", ("f",)), ("x", ()))], "non-parallel"),
+    ([("f", "x", "y"), ("f", "y", "x")], [], "distinct"),
+])
+def test_saturate_rejects_a_malformed_presentation(arrows, relations, error):
+    pres = CatPresentation(Quiver("Q", ["x", "y"], arrows), relations)
+    with pytest.raises(ValueError, match=error):
+        saturate(pres)

@@ -214,6 +214,28 @@ def test_small_object_factorization_into_interval_returns(monkeypatch, source, i
     assert res.status in ("factored", "partial", "stuck")
 
 
+@pytest.mark.parametrize("source,index", [("0", 0), ("1", 0), ("1", 1)])
+def test_stage_two_cell_pushout_saturation_is_pinned(monkeypatch, source, index):
+    # the pushout the xfail above gives up on: a free 2-cycle between the
+    # objects over 0 and 1 of I, so the closure grows to the last horizon
+    # within the path budget (L = 4 at 5,000 paths) and stops there
+    monkeypatch.setattr(diagrams, "PATH_BUDGET", 5_000)
+    results = []
+    original = diagrams.saturate
+
+    def recorded(pres, *args, **kwargs):
+        result = original(pres, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(diagrams, "saturate", recorded)
+    F = enumerate_functors(SOA_CATS[source](), interval_category())[index]
+    with pytest.raises(ValueError):
+        small_object_factorization(CatAmbient(), generating_cofibrations(), F, max_stages=3)
+    assert [(r.status, r.class_count, r.explored_len) for r in results] == [
+        ("total", 2, 2), ("possibly_infinite", 10, 4)]
+
+
 # -- memoized classification, orthogonality and section pairs ---------------
 
 def k0_i_corpus():

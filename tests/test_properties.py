@@ -1,13 +1,17 @@
 """Property-based differential tests: the memoized routes of a long-lived
 ambient, and the cylinders and path objects kept on shared categories,
-against the uncached routes on fresh ones."""
+against the uncached routes on fresh ones; and `saturate` on integer path
+ids against the closure on (src, arrows) keys that it replaced."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelbench.catmodel import CatAmbient, ho_hom, naturally_isomorphic, path_object
 from modelbench.catmodel.homotopy import _path_route, eta_to_path_homotopy
-from modelbench.fincat import Functor, enumerate_functors
+from modelbench.fincat import CatPresentation, FinCat, Functor, diagrams, enumerate_functors
+from modelbench.fincat.diagrams import SaturationResult
+from modelbench.fincat.quivers import Quiver
 from modelbench.fincat.corpus import base_corpus, full_corpus
 from modelbench.fincat.enumfun import natural_isos
 from modelbench.lifting import find_retract, is_orthogonal
@@ -110,3 +114,167 @@ def test_pinned_path_route_matches_unpinned_scan(pair):
     want = next((K for K in enumerate_functors(F.source, path.path_cat)
                  if K.then(path.p0) == F and K.then(path.p1) == G), None)
     assert _path_route(F, G) == want
+
+
+# -- saturation: integer path ids against the tuple-keyed closure -----------
+
+def ref_closure_at(pres, L):
+    """The closure on (src, arrows) keys that the integer one replaced:
+    (endpoints, find, rank), or None at the first path past PATH_BUDGET."""
+    Q = pres.quiver
+    out_arrows = {}
+    in_arrows = {}
+    for (a, s, t) in Q.arrows:
+        out_arrows.setdefault(s, []).append((a, t))
+        in_arrows.setdefault(t, []).append((a, s))
+    frontier = [(v, ()) for v in Q.vertices]
+    endpoints = {k: (k[0], k[0]) for k in frontier}
+    for _ in range(L):
+        nxt = []
+        for k in frontier:
+            src, arrows = k
+            tgt = endpoints[k][1]
+            for (a, t2) in out_arrows.get(tgt, ()):
+                nk = (src, (a,) + arrows)
+                if nk not in endpoints:
+                    endpoints[nk] = (src, t2)
+                    if len(endpoints) > diagrams.PATH_BUDGET:
+                        return None
+                    nxt.append(nk)
+        frontier = nxt
+    parent = {k: k for k in endpoints}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    def rank(k):
+        return (len(k[1]), k[1], k[0])
+
+    queue = []
+    for (pa, pb) in pres.relations:
+        ka, kb = (pa[0], tuple(pa[1])), (pb[0], tuple(pb[1]))
+        if ka in endpoints and kb in endpoints:
+            queue.append((ka, kb))
+    while queue:
+        ka, kb = queue.pop()
+        ra, rb = find(ka), find(kb)
+        if ra == rb:
+            continue
+        if rank(rb) < rank(ra):
+            ra, rb = rb, ra
+        parent[rb] = ra
+        src, tgt = endpoints[ra]
+        for (a, _) in out_arrows.get(tgt, ()):
+            na, nb = (ra[0], (a,) + ra[1]), (rb[0], (a,) + rb[1])
+            if na in endpoints and nb in endpoints:
+                queue.append((na, nb))
+        for (a, s2) in in_arrows.get(src, ()):
+            na, nb = (s2, ra[1] + (a,)), (s2, rb[1] + (a,))
+            if na in endpoints and nb in endpoints:
+                queue.append((na, nb))
+    return endpoints, find, rank
+
+
+def ref_category(pres, endpoints, find, rank, reps):
+    Q = pres.quiver
+    classes = sorted(reps.values(), key=rank)
+    name_of = {r: diagrams._mor_name(r) for r in classes}
+    rep_of_key = {k: reps[find(k)] for k in endpoints}
+    mors = [(name_of[r], endpoints[r][0], endpoints[r][1]) for r in classes]
+    ident = {v: name_of[rep_of_key[(v, ())]] for v in Q.vertices}
+    comp = {}
+    for r1 in classes:
+        for r2 in classes:
+            if endpoints[r2][1] != endpoints[r1][0]:
+                continue
+            k = (endpoints[r2][0], r1[1] + r2[1])
+            if k not in rep_of_key:
+                return None
+            comp[(name_of[r1], name_of[r2])] = name_of[rep_of_key[k]]
+    return FinCat("colim", Q.vertices, mors, ident, comp)
+
+
+def ref_saturate(pres, max_len=10, fixed_len=None):
+    """The horizon loop over `ref_closure_at`."""
+    min_len = max([2] + [len(p[1]) for rel in pres.relations for p in rel])
+    lengths = [fixed_len] if fixed_len is not None else list(range(min_len, max_len + 1))
+    last_count = None
+    last_len = 0
+    for L in lengths:
+        closed = ref_closure_at(pres, L)
+        if closed is None:
+            break
+        last_len = L
+        endpoints, find, rank = closed
+        classes = {}
+        for k in endpoints:
+            classes.setdefault(find(k), []).append(k)
+        reps = {r: min(members, key=rank) for r, members in classes.items()}
+        count = len(reps)
+        path_class = {k: reps[find(k)] for k in endpoints}
+        if count > diagrams.CLASS_BUDGET:
+            return SaturationResult("possibly_infinite", None, count, L)
+        if fixed_len is not None:
+            return SaturationResult("census", None, count, L,
+                                    class_reps=sorted(reps.values(), key=rank),
+                                    path_class=path_class)
+        M = max((len(r[1]) for r in reps.values()), default=0)
+        if M <= L - 1 and 2 * M <= L:
+            cat = ref_category(pres, endpoints, find, rank, reps)
+            if cat is not None and cat.validate().ok:
+                return SaturationResult("total", cat, count, L,
+                                        class_reps=sorted(reps.values(), key=rank),
+                                        path_class=path_class)
+        last_count = count
+    return SaturationResult("possibly_infinite", None, last_count or 0, last_len)
+
+
+@st.composite
+def presentations(draw):
+    """At most 3 vertices, at most 5 arrows (named out of quiver order) and,
+    when there is a vertex, 1 to 6 relations between parallel paths of
+    length <= 3."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(0, 3)))]
+    names = draw(st.permutations("abcde"))
+    ends = st.sampled_from(vertices) if vertices else st.nothing()
+    n_arrows = draw(st.integers(0, 5)) if vertices else 0
+    arrows = [(names[i], draw(ends), draw(ends)) for i in range(n_arrows)]
+    parallel = {}           # (src, tgt) -> paths of length <= 3
+    layer = [(v, (), v) for v in vertices]
+    for _ in range(4):
+        for (s, path, t) in layer:
+            parallel.setdefault((s, t), []).append((s, path))
+        layer = [(s, (a,) + path, t2) for (s, path, t) in layer
+                 for (a, s2, t2) in arrows if s2 == t]
+    relations = []
+    if parallel:
+        for _ in range(draw(st.integers(1, 6))):
+            paths = parallel[draw(st.sampled_from(sorted(parallel)))]
+            relations.append((draw(st.sampled_from(paths)), draw(st.sampled_from(paths))))
+    return CatPresentation(Quiver("Q", vertices, arrows), relations)
+
+
+def same_saturation(got, want):
+    assert (got.status, got.class_count, got.explored_len) == (
+        want.status, want.class_count, want.explored_len)
+    assert got.class_reps == want.class_reps
+    assert got.path_class == want.path_class
+    assert (got.category is None) == (want.category is None)
+    if want.category is not None:
+        assert got.category.morphisms == want.category.morphisms
+        assert got.category.identity == want.category.identity
+        assert got.category.compose_table == want.category.compose_table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(presentations(), st.integers(0, 4))
+def test_saturate_matches_tuple_keyed_closure(pres, k):
+    # budgets from below the vertex count to past every horizon here
+    for budget in (0, 2, 9, 60, 700, 5_000):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(diagrams, "PATH_BUDGET", budget)
+            for kwargs in ({}, {"max_len": 4}, {"fixed_len": k}):
+                same_saturation(diagrams.saturate(pres, **kwargs), ref_saturate(pres, **kwargs))
