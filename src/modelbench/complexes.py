@@ -1,10 +1,10 @@
 """Bounded cochain complexes of finite-dimensional rational vector spaces.
 
 A Complex stores per-degree dimensions and differential matrices inside a
-window [lo, hi]; pieces outside the window are zero by convention, so every
-rank statement below is exact.  Degrees lo and hi are still flagged on
-cohomology output: when the data is a truncation of something larger those
-slices are not trustworthy.
+window [lo, hi]; pieces outside the window are zero (the constructor rejects
+nonzero ones), so every rank statement below is exact.  Degrees lo and hi
+are still flagged on cohomology output: when the data is a truncation of
+something larger those slices are not trustworthy.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .linalg import (
     mat_vec,
     nullspace,
     rank,
+    rref,
     solve,
     zeros,
 )
@@ -33,12 +34,19 @@ class Complex:
             raise ValueError("empty window")
         self.name = name
         self.dims = {int(n): int(k) for n, k in dims.items() if k}
+        outside = sorted(n for n in self.dims if not self.lo <= n <= self.hi)
+        if outside:
+            raise ValueError(f"nonzero X^{outside[0]} outside window {self.window}")
         self.d = {}
         for n, m in d.items():
             n = int(n)
             mat_ = [[frac(x) for x in row] for row in m]
-            if mat_ and any(row for row in mat_):
+            if not (mat_ and any(row for row in mat_)):
+                continue
+            if self.lo <= n < self.hi:
                 self.d[n] = mat_
+            elif any(any(row) for row in mat_):
+                raise ValueError(f"nonzero d^{n} outside window {self.window}")
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -167,17 +175,17 @@ def coboundaries(X: Complex, n: int) -> list[Vec]:
 
 
 def _complement_in(space_basis, sub_basis, dim):
-    """Representatives extending sub_basis to span(space_basis)."""
+    """Representatives extending sub_basis to span(space_basis): the
+    space_basis vectors at the pivot columns of one rref of the columns
+    [sub | space].  A pivot column is one outside the span of the columns
+    before it, so these are the vectors a greedy rank loop keeps, in order,
+    provided sub_basis is independent (coboundaries returns pivot columns)."""
     if not space_basis:
         return []
-    cols = [list(v) for v in sub_basis]
-    reps = []
-    for z in space_basis:
-        candidate = cols + [list(v) for v in reps] + [list(z)]
-        m = [[candidate[j][i] for j in range(len(candidate))] for i in range(dim)]
-        if rank(m) > len(cols) + len(reps):
-            reps.append(z)
-    return reps
+    cols = list(sub_basis) + list(space_basis)
+    _, pivots = rref([[v[i] for v in cols] for i in range(dim)])
+    k = len(sub_basis)
+    return [space_basis[pc - k] for pc in pivots if pc >= k]
 
 
 def cohomology(X: Complex, n: int) -> CohomologySlice:
@@ -206,19 +214,17 @@ def cohomology_map(f: ChainMap, n: int) -> Mat:
     sy = cohomology(f.target, n)
     by = coboundaries(f.target, n)
     basis = [list(v) for v in by] + [list(v) for v in sy.representatives]
-    out = []
-    for z in sx.representatives:
-        img = f.apply(n, z)
-        if not basis:
-            if any(img):
-                raise AssertionError("image of a cocycle escaped the target")
-            out.append([])
-            continue
+    imgs = [f.apply(n, z) for z in sx.representatives]
+    if not basis:
+        if any(any(img) for img in imgs):
+            raise AssertionError("image of a cocycle escaped the target")
+        out = [[] for _ in imgs]
+    else:
         m = [[basis[j][i] for j in range(len(basis))] for i in range(f.target.dim(n))]
-        coeffs = solve(m, img)
-        if coeffs is None:
+        coeffs = solve(m, imgs)
+        if any(c is None for c in coeffs):
             raise AssertionError("cocycle image not a cocycle")
-        out.append(coeffs[len(by):])
+        out = [c[len(by):] for c in coeffs]
     # columns index source representatives
     h = zeros(sy.h_dim, sx.h_dim)
     for j, col in enumerate(out):
@@ -308,9 +314,17 @@ def is_surjective(f: ChainMap) -> bool:
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    """Quasi-isomorphism via cone acyclicity in every degree."""
+    """Quasi-isomorphism via cone acyclicity in every degree, from
+    h^n(C) = dim C^n - rank d^n - rank d^(n-1).  Each cone differential is
+    ranked once, in degree order, stopping at the first nonzero h^n."""
     C, _, _ = cone(f)
-    return all(cohomology(C, n).h_dim == 0 for n in C.degrees())
+    rank_prev = 0           # the complex vanishes outside its window
+    for n in C.degrees():
+        rank_n = rank(C.d[n]) if n in C.d else 0
+        if C.dim(n) - rank_n - rank_prev:
+            return False
+        rank_prev = rank_n
+    return True
 
 
 def section_condition(f: ChainMap, n: int) -> tuple[bool, dict]:
@@ -338,10 +352,7 @@ def section_condition(f: ChainMap, n: int) -> tuple[bool, dict]:
         span_rows.append([X.diff(n)[i][j] for j in range(X.dim(n))])
     for i in range(dimy):
         span_rows.append([f.component(n)[i][j] for j in range(X.dim(n))])
-    unsolved = []
-    for v in pairs:
-        if solve(span_rows, v) is None:
-            unsolved.append(v)
+    unsolved = [v for v, x in zip(pairs, solve(span_rows, pairs)) if x is None]
     return (not unsolved, {"pairs": len(pairs), "unsolved": unsolved})
 
 
@@ -372,12 +383,11 @@ def surj_quas_criteria(f: ChainMap) -> SurjQuasReport:
         if zy:
             imgs = [f.apply(n, v) for v in zx]
             m = [[imgs[j][i] for j in range(len(imgs))] for i in range(Y.dim(n))]
-            zmat = [[zy[j][i] for j in range(len(zy))] for i in range(Y.dim(n))]
-            if rank(m) < rank(zmat):
+            if rank(m) < len(zy):
                 c2 = False
                 c2_fail = ("Z-surjectivity", n)
                 break
-        hx = cohomology(X, n).h_dim
+        hx = len(zx) - len(coboundaries(X, n))
         if hx:
             h = cohomology_map(f, n)
             injective = bool(h) and len(h[0]) == hx and not nullspace(h)
@@ -413,8 +423,11 @@ def solve_section(f: ChainMap, n: int, x: Vec, y: Vec):
         rows.append([X.diff(n)[i][j] for j in range(X.dim(n))])
     for i in range(Y.dim(n)):
         rows.append([f.component(n)[i][j] for j in range(X.dim(n))])
+    if not rows:
+        # no equations: solve cannot see the width of X^n
+        return [Fraction(0)] * X.dim(n), None
     rhs = list(x) + list(y)
-    sol = solve(rows, rhs)
+    sol, = solve(rows, [rhs])
     if sol is None:
         aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
         return None, {"rank": rank(rows), "rank_augmented": rank(aug)}

@@ -2,7 +2,10 @@
 
 Matrices are lists of rows of Fractions; an m x n matrix represents a map
 Q^n -> Q^m acting on column vectors.  Everything here is deterministic:
-pivots are chosen left to right, candidate rows top to bottom.
+pivots are chosen left to right, candidate rows top to bottom.  `rref` is
+the only reduction; callers with several questions about one matrix ask them
+in one call (`solve` takes every right-hand side at once) so the matrix is
+reduced once, not once per vector.
 """
 
 from __future__ import annotations
@@ -119,21 +122,35 @@ def nullspace(a: Mat, width: int | None = None) -> list[Vec]:
     return basis
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of a x = b, or None."""
+def solve(a: Mat, bs: list[Vec]) -> list[Vec | None]:
+    """One solution of a x = b for each b in `bs`, or None where there is none,
+    from one reduction of [a | b_1 ... b_k].
+
+    b_j is solvable iff column n + j is zero in every reduced row at or below
+    rank(a); that column need not be a pivot column to be inconsistent.  Row
+    operations after the columns of a only add multiples of those lower rows,
+    so a solvable column keeps its values in the rows above, which hold x.
+    A matrix with no rows has no width: each solution then has length 0."""
     m, n = shape(a)
-    if len(b) != m:
+    if any(len(b) != m for b in bs):
         raise ValueError("rhs length mismatch")
-    aug = [a[i][:] + [b[i]] for i in range(m)] if m else []
     if m == 0:
-        return [Fraction(0)] * n
+        return [[Fraction(0)] * n for _ in bs]
+    if not bs:
+        return []
+    aug = [a[i] + [b[i] for b in bs] for i in range(m)]
     r, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][n]
-    return x
+    rk = sum(1 for pc in pivots if pc < n)
+    out: list[Vec | None] = []
+    for j in range(n, n + len(bs)):
+        if any(r[i][j] for i in range(rk, m)):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for i in range(rk):
+            x[pivots[i]] = r[i][j]
+        out.append(x)
+    return out
 
 
 def column_space_basis(a: Mat) -> list[Vec]:

@@ -139,6 +139,12 @@ def test_solve_section_unsolvable_returns_certificate():
     assert sol is None and cert["rank"] < cert["rank_augmented"]
 
 
+def test_solve_section_with_no_equations_has_the_width_of_x():
+    # X^1 = 0 and Y^0 = 0, so x' is any vector of X^0 = K
+    f = ChainMap(stalk(0), zero_complex((0, 0)), {})
+    assert solve_section(f, 0, [], []) == ([Fraction(0)], None)
+
+
 # -- randomized agreement of the three criteria ---------------------------
 
 
@@ -278,6 +284,21 @@ def test_long_exact_sequence_rank_identity():
 def test_chain_map_window_mismatch_rejected():
     with pytest.raises(ValueError):
         ChainMap(stalk(0, window=(0, 1)), stalk(0, window=(0, 2)), {})
+
+
+def test_complex_rejects_data_outside_its_window():
+    # nonzero data there escapes validate() and makes cohomology negative
+    with pytest.raises(ValueError, match="X\\^2"):
+        Complex((0, 1), {0: 1, 1: 1, 2: 1}, {0: [[1]]})
+    with pytest.raises(ValueError, match="d\\^1"):
+        Complex((0, 1), {0: 1, 1: 1}, {0: [[1]], 1: [[1]]})
+    with pytest.raises(ValueError, match="d\\^-1"):
+        Complex((0, 1), {0: 1, 1: 1}, {-1: [[1]]})
+    with pytest.raises(ValueError):
+        stalk(2, window=(0, 1))
+    # zero data outside the window is the convention, not an error
+    X = Complex((0, 1), {0: 1, 1: 1, 2: 0}, {0: [[1]], 1: [[0]]})
+    assert X.validate() == (True, []) and cohomology_dims(X) == {0: 0, 1: 0}
 
 
 def test_section_condition_ranges():

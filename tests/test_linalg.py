@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from modelbench.linalg import (
     mat,
     mat_mul,
@@ -20,7 +22,7 @@ def test_rref_and_rank():
 
 def test_solve_and_nullspace():
     a = mat([[1, 0, 1], [0, 1, 1]])
-    x = solve(a, [Fraction(3), Fraction(5)])
+    x, = solve(a, [[Fraction(3), Fraction(5)]])
     assert x is not None
     assert mat_vec(a, x) == [Fraction(3), Fraction(5)]
     ns = nullspace(a)
@@ -30,7 +32,18 @@ def test_solve_and_nullspace():
 
 def test_solve_inconsistent():
     a = mat([[1, 1], [1, 1]])
-    assert solve(a, [Fraction(0), Fraction(1)]) is None
+    assert solve(a, [[Fraction(0), Fraction(1)]]) == [None]
+    # the second right-hand side is not a pivot column of [a | b1 b2 b3],
+    # yet it has no solution either
+    assert solve(a, mat([[0, 1], [0, 2], [2, 2]])) == [None, None, [2, 0]]
+
+
+def test_solve_shapes():
+    a = mat([[1, 2]])
+    assert solve(a, []) == []
+    assert solve([], [[], []]) == [[], []]
+    with pytest.raises(ValueError):
+        solve(a, [[1], [1, 2]])
 
 
 def test_mat_mul_identity():

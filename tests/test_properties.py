@@ -1,7 +1,12 @@
 """Property-based differential tests: the memoized routes of a long-lived
 ambient, and the cylinders and path objects kept on shared categories,
-against the uncached routes on fresh ones; and `saturate` on integer path
-ids against the closure on (src, arrows) keys that it replaced."""
+against the uncached routes on fresh ones; `saturate` on integer path
+ids against the closure on (src, arrows) keys that it replaced; and the
+one-reduction linear algebra of `complexes` against the per-vector routes
+it replaced."""
+
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +19,19 @@ from modelbench.fincat.diagrams import SaturationResult
 from modelbench.fincat.quivers import Quiver
 from modelbench.fincat.corpus import base_corpus, full_corpus
 from modelbench.fincat.enumfun import natural_isos
+from modelbench.complexes import (
+    _complement_in,
+    coboundaries,
+    cocycles,
+    cohomology,
+    cohomology_map,
+    cone,
+    is_quasi_iso,
+    section_condition,
+)
+from modelbench.linalg import mat_vec, nullspace, rank, rref, shape, solve, zeros
 from modelbench.lifting import find_retract, is_orthogonal
+from test_complexes import random_bounded_chain_map
 
 _CATS = list(base_corpus().values())
 FUNCTORS = [F for C in _CATS for D in _CATS for F in enumerate_functors(C, D)]
@@ -278,3 +295,142 @@ def test_saturate_matches_tuple_keyed_closure(pres, k):
             m.setattr(diagrams, "PATH_BUDGET", budget)
             for kwargs in ({}, {"max_len": 4}, {"fixed_len": k}):
                 same_saturation(diagrams.saturate(pres, **kwargs), ref_saturate(pres, **kwargs))
+
+
+# -- complexes: one reduction per matrix against one per vector -------------
+
+def ref_solve(a, b):
+    """The single right-hand-side solve that the multi-RHS one replaced."""
+    m, n = shape(a)
+    if len(b) != m:
+        raise ValueError("rhs length mismatch")
+    aug = [a[i][:] + [b[i]] for i in range(m)] if m else []
+    if m == 0:
+        return [Fraction(0)] * n
+    r, pivots = rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i][n]
+    return x
+
+
+def ref_complement_in(space_basis, sub_basis, dim):
+    """The greedy rank loop that the one-rref complement replaced."""
+    if not space_basis:
+        return []
+    cols = [list(v) for v in sub_basis]
+    reps = []
+    for z in space_basis:
+        candidate = cols + [list(v) for v in reps] + [list(z)]
+        m = [[candidate[j][i] for j in range(len(candidate))] for i in range(dim)]
+        if rank(m) > len(cols) + len(reps):
+            reps.append(z)
+    return reps
+
+
+def ref_section_condition(f, n):
+    """section_condition with one solve per pair."""
+    X, Y = f.source, f.target
+    dn1 = X.diff(n + 1)
+    fn1 = f.component(n + 1)
+    dyn = Y.diff(n)
+    rows = []
+    dimx, dimy = X.dim(n + 1), Y.dim(n)
+    for i in range(X.dim(n + 2)):
+        rows.append([dn1[i][j] for j in range(dimx)] + [Fraction(0)] * dimy)
+    for i in range(Y.dim(n + 1)):
+        rows.append([fn1[i][j] for j in range(dimx)]
+                    + [-dyn[i][j] for j in range(dimy)])
+    if not rows and (dimx + dimy):
+        rows = [[Fraction(0)] * (dimx + dimy)]
+    pairs = nullspace(rows) if (dimx + dimy) else []
+    span_rows = []
+    for i in range(dimx):
+        span_rows.append([X.diff(n)[i][j] for j in range(X.dim(n))])
+    for i in range(dimy):
+        span_rows.append([f.component(n)[i][j] for j in range(X.dim(n))])
+    unsolved = [v for v in pairs if ref_solve(span_rows, v) is None]
+    return (not unsolved, {"pairs": len(pairs), "unsolved": unsolved})
+
+
+def ref_cohomology_map(f, n):
+    """cohomology_map with one solve per source representative."""
+    sx = cohomology(f.source, n)
+    sy = cohomology(f.target, n)
+    by = coboundaries(f.target, n)
+    basis = [list(v) for v in by] + [list(v) for v in sy.representatives]
+    h = zeros(sy.h_dim, sx.h_dim)
+    for j, z in enumerate(sx.representatives):
+        img = f.apply(n, z)
+        if not basis:
+            assert not any(img)
+            continue
+        m = [[basis[k][i] for k in range(len(basis))] for i in range(f.target.dim(n))]
+        coeffs = ref_solve(m, img)
+        assert coeffs is not None
+        for i, x in enumerate(coeffs[len(by):]):
+            h[i][j] = x
+    return h
+
+
+@st.composite
+def linear_systems(draw):
+    """A small integer matrix a and right-hand sides that are free, in the
+    image of a, or combinations of earlier ones plus an image vector, so
+    several dependent inconsistent columns arise (b, 2b, b + a x, ...)."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.integers(-2, 2).map(Fraction)
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    bs = []
+    for _ in range(draw(st.integers(0, 6))):
+        image = mat_vec(a, [draw(entry) for _ in range(n)]) if m else []
+        kind = draw(st.sampled_from(["free", "image", "combination"]))
+        if kind == "free":
+            b = [draw(entry) for _ in range(m)]
+        elif kind == "image" or not bs:
+            b = image
+        else:
+            u, v = draw(st.sampled_from(bs)), draw(st.sampled_from(bs))
+            c, e = draw(entry), draw(entry)
+            b = [c * x + e * y + z for x, y, z in zip(u, v, image)]
+        bs.append(b)
+    return a, bs
+
+
+chain_maps = st.integers(0, 2**32 - 1).map(lambda s: random_bounded_chain_map(random.Random(s)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(linear_systems())
+def test_multi_rhs_solve_matches_single_vector_solve(system):
+    a, bs = system
+    assert solve(a, bs) == [ref_solve(a, b) for b in bs]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain_maps)
+def test_one_rref_complement_matches_greedy_rank_loop(f):
+    C, _, _ = cone(f)
+    for X in (f.source, f.target, C):
+        for n in X.degrees():
+            z, b = cocycles(X, n), coboundaries(X, n)
+            assert _complement_in(z, b, X.dim(n)) == ref_complement_in(z, b, X.dim(n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain_maps)
+def test_rank_formula_quasi_iso_matches_cone_cohomology(f):
+    C, _, _ = cone(f)
+    assert is_quasi_iso(f) == all(cohomology(C, n).h_dim == 0 for n in C.degrees())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain_maps)
+def test_batched_section_condition_and_cohomology_map_match_per_vector(f):
+    lo, hi = f.source.window
+    for n in range(lo - 1, hi + 1):
+        assert section_condition(f, n) == ref_section_condition(f, n)
+    for n in f.source.degrees():
+        assert cohomology_map(f, n) == ref_cohomology_map(f, n)
