@@ -5,6 +5,7 @@ from __future__ import annotations
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.core import identity_functor
 from ..fincat.diagrams import CatDiagram, colimit
+from ..fincat.enumfun import forced_images
 from ..lifting.search import (OrthogonalityResult, enumerate_squares, find_lifting,
                               is_orthogonal)
 
@@ -51,23 +52,10 @@ class CatAmbient:
     def lift_candidates(self, square):
         """Functors h: cod(left) -> dom(right) with h o left = top, found by
         pinning the images forced on the left leg's image."""
-        f, top = square.left, square.top
-        Y, A = f.target, square.right.source
-        fixed_obj = {}
-        for x in f.source.objects:
-            y = f.obj_map[x]
-            want = top.obj_map[x]
-            if fixed_obj.get(y, want) != want:
-                return []
-            fixed_obj[y] = want
-        fixed_mor = {}
-        for m in f.source.morphism_ids:
-            n = f.mor_map[m]
-            want = top.mor_map[m]
-            if fixed_mor.get(n, want) != want:
-                return []
-            fixed_mor[n] = want
-        return enumerate_functors(Y, A, fixed_obj=fixed_obj, fixed_mor=fixed_mor)
+        pins = forced_images([(square.left, square.top)])
+        if pins is None:
+            return []
+        return enumerate_functors(square.left.target, square.right.source, *pins)
 
     # -- bounded colimits -------------------------------------------------
 
@@ -153,20 +141,10 @@ class CatAmbient:
         """The unique map out of the pushout agreeing with f on the old part
         and with the chosen bottoms on the new cells."""
         target = f.target
-        obj_map = {}
-        mor_map = {}
-        pieces = [(stage.inclusion, f)] + list(zip(stage.cell_maps, bottoms))
-        for (into, down) in pieces:
-            for x, y in into.obj_map.items():
-                want = down.obj_map[x]
-                if obj_map.get(y, want) != want:
-                    raise ValueError("incompatible cell bottoms on objects")
-                obj_map[y] = want
-            for m, n in into.mor_map.items():
-                want = down.mor_map[m]
-                if mor_map.get(n, want) != want:
-                    raise ValueError("incompatible cell bottoms on morphisms")
-                mor_map[n] = want
+        pins = forced_images([(stage.inclusion, f)] + list(zip(stage.cell_maps, bottoms)))
+        if pins is None:
+            raise ValueError("incompatible cell bottoms")
+        obj_map, mor_map = pins
         P = stage.result
         # generated colimit: remaining morphisms are composites of images;
         # fill by composing representative decompositions

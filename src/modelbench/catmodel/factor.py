@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.build import _pair, induced_category, induced_mor
+from ..fincat.enumfun import forced_images
 from .classify import FunctorClassification, classify
 from .interval import cylinder, path_object, _iso_triples, _triple
 
@@ -98,16 +99,13 @@ class UniversalCheck:
     detail: str = ""
 
 
-def cylinder_pushout_check(F: Functor, test_categories) -> UniversalCheck:
-    """The square  C --F--> D,  iota0 v  v inc,  C x I --H--> D'  is a
-    pushout: against each test category, every compatible cocone factors
-    uniquely through D'."""
-    C, D = F.source, F.target
-    fac = functor_cylinder_factorization(F)
-    cyl = cylinder(C)
-    # H: C x I -> D', constant at F(f) in the interval direction
+def _pushout_homotopy(F: Functor, fac: CylinderFactorization) -> Functor:
+    """The remark homotopy H: C x I -> D' of the pushout square, constant at
+    F(f) in the interval direction, with (x, 0) -> tgt/F(x) and
+    (x, 1) -> src/x; checked to be a functor that closes the square."""
+    cyl = cylinder(F.source)
     h_obj = {}
-    for x in C.objects:
+    for x in F.source.objects:
         h_obj[_pair(x, "0")] = f"tgt/{F.obj_map[x]}"
         h_obj[_pair(x, "1")] = f"src/{x}"
     h_mor = {}
@@ -123,20 +121,37 @@ def cylinder_pushout_check(F: Functor, test_categories) -> UniversalCheck:
     # the equational chain recovers F = p o j
     if fac.j.then(fac.p) != F or cyl.iota1.then(H).then(fac.p) != F:
         raise AssertionError("equational chain fails to recover F = p j")
+    return H
 
+
+def _mediating_maps(fac: CylinderFactorization, H: Functor, u: Functor, v: Functor):
+    """The functors w: D' -> T with w o H = u and w o inc = v.  The two legs
+    pin w's image of every object and morphism they reach, so one pinned
+    enumeration finds every candidate; two legs that pin one image apart
+    leave none."""
+    pins = forced_images([(H, u), (fac.inc, v)])
+    ws = [] if pins is None else enumerate_functors(fac.dprime, u.target, *pins)
+    return [w for w in ws if H.then(w) == u and fac.inc.then(w) == v]
+
+
+def cylinder_pushout_check(F: Functor, test_categories) -> UniversalCheck:
+    """The square  C --F--> D,  iota0 v  v inc,  C x I --H--> D'  is a
+    pushout: against each test category, every compatible cocone factors
+    uniquely through D'."""
+    C, D = F.source, F.target
+    fac = functor_cylinder_factorization(F)
+    H = _pushout_homotopy(F, fac)
+    iota0 = cylinder(C).iota0
     checked = 0
     for T in test_categories:
-        us = enumerate_functors(cyl.cyl, T)
         vs = enumerate_functors(D, T)
-        ws = enumerate_functors(fac.dprime, T)
-        for u in us:
-            u0 = cyl.iota0.then(u)
+        for u in enumerate_functors(H.source, T):
+            u0 = iota0.then(u)
             for v in vs:
                 if F.then(v) != u0:
                     continue
                 checked += 1
-                mediating = [w for w in ws
-                             if H.then(w) == u and fac.inc.then(w) == v]
+                mediating = _mediating_maps(fac, H, u, v)
                 if len(mediating) != 1:
                     return UniversalCheck(False, checked,
                                           f"{len(mediating)} mediating maps")

@@ -5,9 +5,10 @@ Hom(I, D)), plus Hom sets of the homotopy category."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from math import prod
 
-from ..fincat import Functor, NatTransf, enumerate_functors
+from ..fincat import Functor, GuardExceeded, NatTransf, enumerate_functors, enumfun
 from ..fincat.build import induced_mor
 from ..fincat.enumfun import natural_isos
 from .interval import cylinder, path_object, _pair, _triple
@@ -124,24 +125,38 @@ def ho_hom(C, D):
     """Hom in the homotopy category: functors C -> D up to natural
     isomorphism, as a deterministic list of classes.
 
-    Each functor F is keyed by the conjugacy class (`FinCat.conjugacy_class`)
-    of every F(m).  A natural isomorphism eta: F => G gives
-    G(m) = eta_y o F(m) o eta_x^-1, a conjugate of F(m), so isomorphic
-    functors share a key and `natural_isos` is only asked within a key's
-    bucket.  Natural isomorphism is an equivalence relation, so F matches at
-    most one class and no class outside its bucket: the classes, their
-    order and their members' order are those of testing F against every
-    class found so far."""
-    classes: list[list] = []
-    buckets: dict[tuple, list[list]] = {}
+    The skeleton theorem (Mac Lane, CWM IV.4): the reflection r of D onto
+    its skeleton of first objects (`FinCat.reflection`) is an equivalence,
+    so F ~= G iff r F ~= r G.  In the skeleton isomorphic objects are equal,
+    so a natural iso r F => r G has components alpha_x in Aut(rep F(x)):
+    r F ~= r G iff both send each x to the same rep and
+    r G(m) = alpha_y o r F(m) o alpha_x^-1 for every m: x -> y, for one
+    alpha in the product over x in C of Aut(rep F(x)).  F is keyed by its
+    reps and the least such conjugate of its r F(m) over that orbit, so
+    F ~= G iff their keys are equal and no iso search is needed.  When every
+    rep has only its identity as an automorphism the orbit is r F itself.
+    The orbits' sizes are counted against `enumfun.NODE_BUDGET` over the
+    whole call before each is searched; past it, GuardExceeded is raised
+    and no class is returned.
+
+    Classes are numbered by their first member and list their members in
+    `enumerate_functors` order, as testing each functor against every class
+    found so far would."""
+    sk = D.reflection()
+    comp, inv = D.compose_table, D.inverse_of
+    mors = C.morphisms
+    budget, nodes = enumfun.NODE_BUDGET, 0
+    classes: dict[tuple, list] = {}
     for F in enumerate_functors(C, D):
-        bucket = buckets.setdefault(
-            tuple(D.conjugacy_class(F.mor_map[m]) for m in C.morphism_ids), [])
-        for cls in bucket:
-            if natural_isos(cls[0], F) is not None:
-                cls.append(F)
-                break
-        else:
-            bucket.append([F])
-            classes.append(bucket[-1])
-    return classes
+        reps = tuple(sk.rep[F.obj_map[x]] for x in C.objects)
+        base = key = tuple(sk.r[F.mor_map[m]] for (m, _, _) in mors)
+        nodes += prod(len(sk.auts[p]) for p in reps)
+        if nodes > budget:
+            raise GuardExceeded(f"ho_hom orbit search exceeded {budget} nodes")
+        # the first conjugate, by the identities, is base itself
+        for alpha in islice(product(*(sk.auts[p] for p in reps)), 1, None):
+            a = dict(zip(C.objects, alpha))
+            key = min(key, tuple(comp[(comp[(a[y], u)], inv(a[x]))]
+                                 for u, (_, x, y) in zip(base, mors)))
+        classes.setdefault((reps, key), []).append(F)
+    return list(classes.values())

@@ -155,8 +155,6 @@ def identity_chain_map(X: Complex) -> ChainMap:
 @dataclass
 class CohomologySlice:
     degree: int
-    z_dim: int
-    b_dim: int
     h_dim: int
     representatives: list      # basis vectors of a complement of B in Z
     boundary_degree: bool      # slice sits at the window boundary
@@ -195,7 +193,7 @@ def cohomology(X: Complex, n: int) -> CohomologySlice:
     b = coboundaries(X, n)
     reps = _complement_in(z, b, X.dim(n))
     return CohomologySlice(
-        degree=n, z_dim=len(z), b_dim=len(b), h_dim=len(z) - len(b),
+        degree=n, h_dim=len(z) - len(b),
         representatives=reps, boundary_degree=n in (X.lo, X.hi))
 
 

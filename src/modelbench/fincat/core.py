@@ -19,6 +19,22 @@ class ValidationReport:
         return self.ok
 
 
+@dataclass(frozen=True)
+class Reflection:
+    """The reflection of a category onto a skeleton (Mac Lane, CWM IV.4).
+
+    rep[x] is the first object isomorphic to x, and theta[x]: x -> rep[x]
+    an isomorphism (the identity when x is its own rep).  r sends each
+    u: x -> y to theta[y] o u o theta[x]^-1: rep[x] -> rep[y], a functor onto
+    the full subcategory of reps that is an equivalence.  auts[p] lists the
+    automorphisms of each rep p, identity first."""
+
+    rep: dict
+    theta: dict
+    r: dict
+    auts: dict
+
+
 class FinCat:
     """Finite category: objects, morphisms (id, dom, cod), identity table and
     a total composition table on composable pairs.
@@ -26,9 +42,10 @@ class FinCat:
     Immutable after construction: the tables are copied in and never
     written again, so facts derived from a category stay valid for its life
     and are kept on the instance: `_iso_cache` (the inverses, filled by
-    `inverse_of`), `_conj_cache` (the conjugacy classes, filled by
-    `conjugacy_class`), and from `catmodel` the cylinder `_cylinder` and
-    the path object `_path_object`."""
+    `inverse_of`), `_reflection` (the skeleton, filled by `reflection`),
+    from `enumfun` the composition buckets `_comp_buckets`, and from
+    `catmodel` the cylinder `_cylinder` and the path object
+    `_path_object`."""
 
     def __init__(self, name, objects, morphisms, identity, compose):
         self.name = name
@@ -43,7 +60,7 @@ class FinCat:
         for (m, d, c) in self.morphisms:
             self._hom.setdefault((d, c), []).append(m)
         self._iso_cache: dict[str, str] | None = None
-        self._conj_cache: dict[str, int] | None = None
+        self._reflection: Reflection | None = None
 
     # -- basic access ---------------------------------------------------
 
@@ -129,28 +146,22 @@ class FinCat:
                         break
         return self._iso_cache.get(f)
 
-    def conjugacy_class(self, f) -> int:
-        """Index of f's conjugacy class: u and v are conjugate when
-        v = beta o u o alpha^-1 for isomorphisms alpha: dom u -> dom v and
-        beta: cod u -> cod v.  Isomorphisms compose, so the class of u is
-        exactly its set of such conjugates; classes are numbered in the
-        order of their first morphism."""
-        if self._conj_cache is None:
-            self._conj_cache = {}
-            isos_from = {}
-            for (a, d, _) in self.morphisms:
-                if self.is_iso(a):
-                    isos_from.setdefault(d, []).append(a)
-            classes = 0
-            for (u, d, c) in self.morphisms:
-                if u in self._conj_cache:
-                    continue
-                for a in isos_from[d]:
-                    ua = self.compose(u, self.inverse_of(a))
-                    for b in isos_from[c]:
-                        self._conj_cache[self.compose(b, ua)] = classes
-                classes += 1
-        return self._conj_cache[f]
+    def reflection(self) -> Reflection:
+        """The reflection onto the skeleton of first objects, built on the
+        first call and kept on the instance as `_reflection`."""
+        if self._reflection is None:
+            rep, theta, auts = {}, {}, {}
+            for x in self.objects:
+                # the first object isomorphic to x is a rep found earlier
+                t = next((f for p in auts for f in self.hom(x, p) if self.is_iso(f)), None)
+                if t is None:
+                    t = self.identity[x]
+                    auts[x] = [t] + [f for f in self.hom(x, x) if f != t and self.is_iso(f)]
+                rep[x], theta[x] = self.cod[t], t
+            r = {u: self.compose(theta[c], self.compose(u, self.inverse_of(theta[d])))
+                 for (u, d, c) in self.morphisms}
+            self._reflection = Reflection(rep, theta, r, auts)
+        return self._reflection
 
     def is_iso(self, f) -> bool:
         return self.inverse_of(f) is not None

@@ -20,18 +20,40 @@ class GuardExceeded(Exception):
     """Raised when an enumeration would visit more than NODE_BUDGET nodes."""
 
 
-def _composition_buckets(C: FinCat, order_index):
-    """For each position p, the composable triples (g, f, h=g∘f) over
-    non-identity g, f that become checkable once position p is assigned."""
-    idents = set(C.identity.values())
-    buckets: dict[int, list] = {}
-    for (g, f), h in C.compose_table.items():
-        if g in idents or f in idents:
-            continue
-        ready = max(order_index[g], order_index[f],
-                    order_index[h] if h not in idents else -1)
-        buckets.setdefault(ready, []).append((g, f, h))
-    return buckets
+def _composition_buckets(C: FinCat):
+    """The non-identity morphisms of C in order, and for each position p in
+    that order the composable triples (g, f, h=g∘f) over non-identity g, f
+    that become checkable once position p is assigned.  They depend only on
+    C, which is immutable, so they are kept on C as `_comp_buckets` after
+    the first call."""
+    kept = getattr(C, "_comp_buckets", None)
+    if kept is None:
+        idents = set(C.identity.values())
+        free_mors = [m for m in C.morphism_ids if m not in idents]
+        order_index = {m: i for i, m in enumerate(free_mors)}
+        buckets: dict[int, list] = {}
+        for (g, f), h in C.compose_table.items():
+            if g in idents or f in idents:
+                continue
+            ready = max(order_index[g], order_index[f],
+                        order_index[h] if h not in idents else -1)
+            buckets.setdefault(ready, []).append((g, f, h))
+        kept = C._comp_buckets = (free_mors, buckets)
+    return kept
+
+
+def forced_images(legs):
+    """The images that w o a = b forces on a functor w, for each (a, b) in
+    `legs`, as (fixed_obj, fixed_mor) for `enumerate_functors`; None when two
+    legs force different images of one object or morphism, so no w exists."""
+    fixed_obj, fixed_mor = {}, {}
+    for a, b in legs:
+        for fixed, amap, bmap in ((fixed_obj, a.obj_map, b.obj_map),
+                                  (fixed_mor, a.mor_map, b.mor_map)):
+            for x, y in amap.items():
+                if fixed.setdefault(y, bmap[x]) != bmap[x]:
+                    return None
+    return fixed_obj, fixed_mor
 
 
 def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
@@ -46,9 +68,7 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
     """
     idents = set(C.identity.values())
     d_idents = set(D.identity.values())
-    free_mors = [m for m in C.morphism_ids if m not in idents]
-    order_index = {m: i for i, m in enumerate(free_mors)}
-    buckets = _composition_buckets(C, order_index)
+    free_mors, buckets = _composition_buckets(C)
     fixed_obj = dict(fixed_obj or {})
     fixed_mor = dict(fixed_mor or {})
 

@@ -35,7 +35,6 @@ class FactorizationResult:
     p: object
     status: str               # "factored" | "partial" | "stuck"
     stages_used: int
-    perp_report: object = None
 
     @property
     def i(self):
@@ -83,7 +82,7 @@ def small_object_factorization(a, generators, f, max_stages=8) -> FactorizationR
                 break
     witness = CellComplexWitness(a, source, stages)
     result = FactorizationResult(witness=witness, p=current, status=status,
-                                 stages_used=used, perp_report=report)
+                                 stages_used=used)
     # composite of the tower followed by p must give back f
     if not a.equal(a.compose(result.p, result.i), f):
         raise AssertionError("factorization does not recompose to f")

@@ -3,7 +3,7 @@ lowers a module constant for its own duration only."""
 
 import pytest
 
-from modelbench.catmodel import CatAmbient, ho_hom, homotopy, inc0, k2_to_k1
+from modelbench.catmodel import CatAmbient, ho_hom, inc0, k2_to_k1
 from modelbench.catmodel.homotopy import _path_route
 from modelbench.fincat import (
     Functor,
@@ -19,6 +19,7 @@ from modelbench.fincat import diagrams, enumfun
 from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import a2_path_category, full_corpus
 from modelbench.lifting import is_orthogonal
+from test_fincat_core import automorphism_corpus
 
 
 def test_enumerate_functors_raises_past_node_budget(monkeypatch):
@@ -78,21 +79,27 @@ def test_path_route_and_ho_hom_out_of_budget_raise_never_answer(monkeypatch):
     assert raised[0] == 1 and 79 not in raised
 
 
-def test_ho_hom_iso_search_out_of_budget_raises(monkeypatch):
-    # the budget lowered for the natural-iso searches alone, so the
-    # enumeration completes and a search inside a bucket runs out; that
-    # must not open a new class
-    cats = full_corpus()
-    C, D = cats["I"], cats["IxI"]
-
-    def starved(F, G):
-        with monkeypatch.context() as m:
-            m.setattr(enumfun, "NODE_BUDGET", 1)
-            return natural_isos(F, G)
-
-    monkeypatch.setattr(homotopy, "natural_isos", starved)
-    with pytest.raises(GuardExceeded):
-        ho_hom(C, D)
+def test_ho_hom_orbit_out_of_budget_raises_never_splits_a_class(monkeypatch):
+    # K1 -> Z2 x K1: six functors in three classes of two, found by the
+    # orbit of conjugates under Aut((v,0)) x Aut((v,1)), four per functor.
+    # Lowered budgets either raise or give every class whole, and some let
+    # the enumeration finish and starve the orbit loop alone.
+    C, D = k_category(1), automorphism_corpus()["Z2xK1"]
+    classes = ho_hom(C, D)
+    assert [len(cls) for cls in classes] == [2, 2, 2]
+    orbit_starved = []
+    for budget in range(1, 30):
+        monkeypatch.setattr(enumfun, "NODE_BUDGET", budget)
+        enumerated = False
+        try:
+            enumerated = len(enumerate_functors(C, D)) == 6
+            got = ho_hom(C, D)
+        except GuardExceeded:
+            if enumerated:
+                orbit_starved.append(budget)
+            continue
+        assert got == classes, budget
+    assert orbit_starved and 29 not in orbit_starved
 
 
 def pushout_over_empty():

@@ -1,4 +1,5 @@
 from modelbench.fincat import (
+    CatPresentation,
     FinCat,
     coproduct,
     discrete_category,
@@ -7,9 +8,10 @@ from modelbench.fincat import (
     interval_category,
     k_category,
     product,
+    saturate,
     unit_category,
 )
-from modelbench.fincat.corpus import a2_path_category, base_corpus, full_corpus
+from modelbench.fincat.corpus import a2_path_category, base_corpus, full_corpus, jordan_quiver
 
 
 def test_interval_category_is_valid():
@@ -85,15 +87,46 @@ def test_base_corpus_all_valid():
         assert C.validate().ok, name
 
 
-def test_conjugacy_class_matches_its_definition():
-    # u ~ v when v o alpha = beta o u for isos alpha: dom u -> dom v and
-    # beta: cod u -> cod v
-    for name, C in full_corpus().items():
-        isos = lambda x, y: [a for a in C.hom(x, y) if C.is_iso(a)]
-        for (u, du, cu) in C.morphisms:
-            for (v, dv, cv) in C.morphisms:
-                conjugate = any(C.compose(v, a) == C.compose(b, u)
-                                for a in isos(du, dv) for b in isos(cu, cv))
-                same = C.conjugacy_class(u) == C.conjugacy_class(v)
-                assert same == conjugate, (name, u, v)
+def cyclic_group(n):
+    """Z/n as a one-object category: the Jordan quiver with alpha^n = id,
+    realized by saturate."""
+    res = saturate(CatPresentation(jordan_quiver(), [(("v", ("alpha",) * n), ("v", ()))]))
+    assert res.total
+    return res.category
 
+
+def automorphism_corpus() -> dict:
+    """Categories whose objects have nontrivial automorphisms: Z/2, Z/3 and
+    the products Z2 x I, Z2 x Z2 and Z2 x K1."""
+    Z2 = cyclic_group(2)
+    return {"Z2": Z2, "Z3": cyclic_group(3),
+            "Z2xI": product(Z2, interval_category(), name="Z2xI"),
+            "Z2xZ2": product(Z2, Z2, name="Z2xZ2"),
+            "Z2xK1": product(Z2, k_category(1), name="Z2xK1")}
+
+
+def test_automorphism_corpus_orders():
+    # |Aut| of each rep: Z/n has n elements, and a product multiplies them
+    orders = {name: [len(a) for a in C.reflection().auts.values()]
+              for name, C in automorphism_corpus().items()}
+    assert orders == {"Z2": [2], "Z3": [3], "Z2xI": [2], "Z2xZ2": [4], "Z2xK1": [2, 2]}
+
+
+def test_reflection_matches_its_definition():
+    # rep[x] is the first object isomorphic to x, theta[x]: x -> rep[x] an
+    # iso, r[u] = theta_y o u o theta_x^-1, and auts lists each rep's
+    # automorphisms, identity first
+    for name, C in {**full_corpus(), **automorphism_corpus()}.items():
+        sk = C.reflection()
+        assert sk is C.reflection()
+        for x in C.objects:
+            first = next(y for y in C.objects if C.isomorphic_objects(x, y))
+            assert sk.rep[x] == first, (name, x)
+            assert sk.theta[x] in C.hom(x, first) and C.is_iso(sk.theta[x])
+        for (u, x, y) in C.morphisms:
+            assert sk.r[u] == C.compose(sk.theta[y], C.compose(u, C.inverse_of(sk.theta[x])))
+        reps = set(sk.rep.values())
+        assert list(sk.auts) == [x for x in C.objects if x in reps]
+        for p, auts in sk.auts.items():
+            assert auts[0] == C.identity[p]
+            assert sorted(auts) == sorted(a for a in C.hom(p, p) if C.is_iso(a))

@@ -1,9 +1,10 @@
 """Property-based differential tests: the memoized routes of a long-lived
 ambient, and the cylinders and path objects kept on shared categories,
-against the uncached routes on fresh ones; `saturate` on integer path
-ids against the closure on (src, arrows) keys that it replaced; and the
-one-reduction linear algebra of `complexes` against the per-vector routes
-it replaced."""
+against the uncached routes on fresh ones; the pinned mediating maps of
+the cylinder pushout check against the scan over every functor out of D';
+`saturate` on integer path ids against the closure on (src, arrows) keys
+that it replaced; and the one-reduction linear algebra of `complexes`
+against the per-vector routes it replaced."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelbench.catmodel import CatAmbient, ho_hom, naturally_isomorphic, path_object
+from modelbench.catmodel import (CatAmbient, cylinder, functor_cylinder_factorization, ho_hom,
+                                 naturally_isomorphic, path_object)
+from modelbench.catmodel.factor import _mediating_maps, _pushout_homotopy, cylinder_pushout_check
 from modelbench.catmodel.homotopy import _path_route, eta_to_path_homotopy
 from modelbench.fincat import CatPresentation, FinCat, Functor, diagrams, enumerate_functors
 from modelbench.fincat.diagrams import SaturationResult
@@ -131,6 +134,44 @@ def test_pinned_path_route_matches_unpinned_scan(pair):
     want = next((K for K in enumerate_functors(F.source, path.path_cat)
                  if K.then(path.p0) == F and K.then(path.p1) == G), None)
     assert _path_route(F, G) == want
+
+
+# -- cylinder pushout: pinned mediating maps against the unpinned scan -------
+
+UNIVERSAL = [F for a in ("0", "1", "K0", "K1", "I") for b in ("0", "1", "K0", "K1", "I")
+             for F in enumerate_functors(_FULL[a], _FULL[b])]
+
+
+def ref_pushout_scan(F, fac, H, tests):
+    """The mediating maps of every compatible cocone (u, v), in the order
+    cylinder_pushout_check visits them, by the scan it replaced: compose
+    every w: D' -> T with H and inc."""
+    iota0 = cylinder(F.source).iota0
+    out = []
+    for T in tests:
+        ws = enumerate_functors(fac.dprime, T)
+        for u in enumerate_functors(H.source, T):
+            for v in enumerate_functors(F.target, T):
+                if F.then(v) == iota0.then(u):
+                    out.append((u, v, [w for w in ws
+                                       if H.then(w) == u and fac.inc.then(w) == v]))
+    return out
+
+
+def test_pinned_mediating_maps_match_unpinned_scan():
+    tests = [_FULL[n] for n in ("1", "K0", "I")]
+    assert len(UNIVERSAL) == 44
+    for F in UNIVERSAL:
+        fac = functor_cylinder_factorization(F)
+        H = _pushout_homotopy(F, fac)
+        want = ref_pushout_scan(F, fac, H, tests)
+        for u, v, mediating in want:
+            assert _mediating_maps(fac, H, u, v) == mediating, F
+        # the check stops at the first cocone without exactly one map
+        bad = next((k for k, (_, _, m) in enumerate(want) if len(m) != 1), None)
+        res = cylinder_pushout_check(F, tests)
+        assert (res.ok, res.cocones_checked) == (
+            (True, len(want)) if bad is None else (False, bad + 1)), F
 
 
 # -- saturation: integer path ids against the tuple-keyed closure -----------
