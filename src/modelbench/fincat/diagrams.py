@@ -6,9 +6,11 @@ colimits are returned as quiver presentations; `saturate` runs a bounded
 congruence closure on paths and certifies the result exactly when the
 closure provably stabilizes (every path reduces to a strictly shorter
 representative and representative composites stay inside the horizon).
-The closure numbers the paths with integer ids and runs its union-find on
-them; the paths of a horizon are counted against PATH_BUDGET before any is
-built.
+The closure first merges the arrows that a relation between two one-arrow
+paths makes equal, then numbers the paths of this arrow quotient with
+integer ids and runs its union-find on them.  The paths of a horizon of
+the presentation's own quiver are counted against PATH_BUDGET before any
+is built.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass, field
 from .core import FinCat, Functor, ValidationReport, identity_functor
 from .quivers import Quiver, path_name
 
-# Paths of length <= L that one congruence closure may hold before
-# `saturate` stops growing the horizon.
+# Paths of length <= L of the presentation's quiver (not of its arrow
+# quotient) that one congruence closure may cover before `saturate` stops
+# growing the horizon.
 PATH_BUDGET = 200_000
 # Morphism classes past which `saturate` reports "possibly_infinite".
 CLASS_BUDGET = 10_000
@@ -187,39 +190,85 @@ def _find(parent, p):
 
 
 class _Closure:
-    """A congruence closure on integer path ids.
+    """A congruence closure on integer path ids of the arrow quotient.
 
     Path p runs from vertex src[p] to vertex tgt[p] (indices into
     `vertices`) and has arrows (first[p],) + the arrows of tail[p]: first[p]
-    (an index into `names`) is the arrow applied last.  Ids below
-    len(vertices) are the identity paths, whose first and tail are -1.  The
-    root of each class in `parent` is its least member by `_rank`."""
+    (an index into `names`, the quotient arrows) is the arrow applied last.
+    Ids below len(vertices) are the identity paths, whose first and tail are
+    -1.  The root of each class in `parent` is its least member by `_rank`.
+    `leaving[v]` lists the arrows of the quiver out of vertex v, in quiver
+    order, as (name, quotient arrow)."""
 
-    def __init__(self, vertices, names, src, tgt, length, first, tail, parent):
-        self.vertices, self.names, self.src, self.tgt = vertices, names, src, tgt
+    def __init__(self, L, vertices, names, src, tgt, length, first, tail, parent,
+                 child, place, leaving):
+        self.L, self.vertices, self.names, self.src, self.tgt = L, vertices, names, src, tgt
         self.length, self.first, self.tail, self.parent = length, first, tail, parent
+        self.child, self.place, self.leaving = child, place, leaving
 
     def roots(self):
         return [p for p, q in enumerate(self.parent) if p == q]
 
-    def keys(self):
-        """The (src, arrows) key of every path, by id."""
-        keys = [(v, ()) for v in self.vertices]
-        for p in range(len(keys), len(self.src)):
-            keys.append((self.vertices[self.src[p]],
-                         (self.names[self.first[p]],) + keys[self.tail[p]][1]))
-        return keys
+    def key(self, p):
+        """The (src, arrows) key of path p: the least path of the quiver
+        that maps to p."""
+        v, arrows = self.vertices[self.src[p]], []
+        while p >= len(self.vertices):
+            arrows.append(self.names[self.first[p]])
+            p = self.tail[p]
+        return (v, tuple(arrows))
+
+    def lifts(self):
+        """(key, id of its image) for every path of the quiver of length
+        <= L, in breadth-first order."""
+        layer = [((v, ()), p) for p, v in enumerate(self.vertices)]
+        out = list(layer)
+        for _ in range(self.L):
+            layer = [((v, (name,) + arrows), self.child[p] + self.place[a])
+                     for ((v, arrows), p) in layer for (name, a) in self.leaving[self.tgt[p]]]
+            out += layer
+        return out
+
+
+def _arrow_quotient(names, ends, vix, relations):
+    """The class of each arrow, as the index of its least-named member,
+    under the relations between two one-arrow paths of the quiver from the
+    stated vertex whose sides are parallel: the relations that the closure
+    queues at every horizon L >= 1.  (At L = 0 no path holds an arrow.)"""
+    aix = {a: i for i, a in enumerate(names)}
+    parent = list(range(len(names)))
+    for (pa, pb) in relations:
+        if len(pa[1]) != 1 or len(pb[1]) != 1 or pa[0] != pb[0]:
+            continue
+        a, b = aix.get(pa[1][0]), aix.get(pb[1][0])
+        if a is None or b is None or ends[a] != ends[b] or ends[a][0] != vix.get(pa[0]):
+            continue
+        ra, rb = _find(parent, a), _find(parent, b)
+        if names[rb] < names[ra]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+    return [_find(parent, a) for a in range(len(names))]
 
 
 def _closure_at(pres: CatPresentation, L: int):
     """Congruence closure of the relations on all paths of length <= L.
 
+    The closure runs on the paths of the arrow quotient (`_arrow_quotient`),
+    which has one arrow per class, named by its least arrow name.  A
+    one-arrow relation whiskered step by step has sides of equal length, so
+    it never leaves the horizon: the closure on the quiver's paths is the
+    preimage of the closure on the quotient's, with the same class count,
+    and the least member of a class lifts to the least path of the quiver.
+    Merging an identity arrow into the empty path (a ~ ()) would change
+    path lengths, so that is left to the closure.
+
     Paths are integer ids in breadth-first order: the identities in vertex
     order, then each layer of the extensions a o p of the layer before, by
-    p and then by the quiver order of a.  So the extensions of a path p
-    shorter than L are the ids child[p] + place[a].  Returns a `_Closure`,
-    or None when more than PATH_BUDGET paths have length <= L; they are
-    counted before any is built.
+    p and then by the quiver order of the quotient arrow a.  So the
+    extensions of a path p shorter than L are the ids child[p] + place[a].
+    Returns a `_Closure`, or None when more than PATH_BUDGET paths of the
+    quiver, not of the quotient, have length <= L; they are counted before
+    any is built.
 
     Arrow names must be distinct and relation pairs parallel.  The pairs
     are queued in order and popped last in, first out.  A merge makes the
@@ -228,8 +277,7 @@ def _closure_at(pres: CatPresentation, L: int):
     within the horizon."""
     Q = pres.quiver
     names = [a for (a, _, _) in Q.arrows]
-    aix = {a: i for i, a in enumerate(names)}
-    if len(aix) != len(names):      # path keys name their arrows
+    if len(set(names)) != len(names):      # path keys name their arrows
         raise ValueError("arrow names must be distinct")
     vertices = list(dict.fromkeys(Q.vertices))
     n_paths = _count_paths(Q, L)
@@ -238,18 +286,24 @@ def _closure_at(pres: CatPresentation, L: int):
         return None
     V = len(vertices)
     vix = {v: i for i, v in enumerate(vertices)}
+    ends = [(vix[s], vix[t]) for (_, s, t) in Q.arrows]
+    cls = _arrow_quotient(names, ends, vix, pres.relations)
+    kept = [a for a in range(len(names)) if cls[a] == a]    # in quiver order
+    qix = {a: k for k, a in enumerate(kept)}
+    pi = {names[a]: qix[cls[a]] for a in range(len(names))}     # name -> quotient arrow
     a_src, a_tgt, place = [], [], []
-    out = [[] for _ in vertices]     # arrows leaving each vertex, in quiver order
-    into = [[] for _ in vertices]    # arrows entering each vertex, in quiver order
-    for i, (_, s, t) in enumerate(Q.arrows):
-        s, t = vix[s], vix[t]
+    out = [[] for _ in vertices]     # quotient arrows leaving each vertex, in order
+    into = [[] for _ in vertices]    # quotient arrows entering each vertex, in order
+    for i, a in enumerate(kept):
+        s, t = ends[a]
         a_src.append(s)
         a_tgt.append(t)
         place.append(len(out[s]))
         out[s].append(i)
         into[t].append(i)
-    name_rank = [0] * len(names)
-    for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+    q_names = [names[a] for a in kept]
+    name_rank = [0] * len(q_names)
+    for r, i in enumerate(sorted(range(len(q_names)), key=q_names.__getitem__)):
         name_rank[i] = r
     out_tgt = [[a_tgt[a] for a in arrows] for arrows in out]
 
@@ -271,9 +325,11 @@ def _closure_at(pres: CatPresentation, L: int):
         full = layer_end
 
     def path_id(v, arrows):
+        """The id of the image of the path (v, arrows), or None when it is
+        not a path of the quiver within the horizon."""
         p = vix.get(v)
         for name in reversed(arrows):
-            a = aix.get(name)
+            a = pi.get(name)
             if p is None or p >= full or a is None or a_src[a] != tgt[p]:
                 return None
             p = child[p] + place[a]
@@ -324,7 +380,11 @@ def _closure_at(pres: CatPresentation, L: int):
                 for k in kb:
                     qb = child[qb] + k
                 queue.append((qa, qb))
-    return _Closure(vertices, names, src, tgt, length, first, tail, parent)
+    leaving = [[] for _ in vertices]
+    for (a, s, _) in Q.arrows:
+        leaving[vix[s]].append((a, pi[a]))
+    return _Closure(L, vertices, q_names, src, tgt, length, first, tail, parent,
+                    child, place, leaving)
 
 
 def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationResult:
@@ -336,10 +396,12 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
     result is exact) or a budget trips (then "possibly_infinite"): more
     than PATH_BUDGET paths, more than CLASS_BUDGET classes, or `max_len`.
 
-    The closure runs on integer path ids, and the paths of a horizon are
-    counted against PATH_BUDGET before any is built.  Paths become
-    (src, arrows) keys only for a census or a category attempt; a horizon
-    that does not stabilize needs only the roots of its classes.
+    The closure runs on integer path ids of the arrow quotient, and the
+    paths of the quiver within a horizon are counted against PATH_BUDGET
+    before any is built.  Paths become (src, arrows) keys only for a census
+    or a category attempt, where `path_class` maps every path of the quiver
+    through the quotient; a horizon that does not stabilize needs only the
+    roots of its classes.
     """
     min_len = max([2] + [len(p[1]) for rel in pres.relations for p in rel])
     lengths = [fixed_len] if fixed_len is not None else list(range(min_len, max_len + 1))
@@ -356,13 +418,13 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
             return SaturationResult("possibly_infinite", None, count, L)
         M = max((closed.length[r] for r in roots), default=0)
         if fixed_len is not None or (M <= L - 1 and 2 * M <= L):
-            keys = closed.keys()
-            reps = sorted((keys[r] for r in roots), key=_rank)
-            path_class = {k: keys[_find(closed.parent, p)] for p, k in enumerate(keys)}
+            rep_key = {r: closed.key(r) for r in roots}
+            reps = sorted(rep_key.values(), key=_rank)
+            path_class = {k: rep_key[_find(closed.parent, p)] for k, p in closed.lifts()}
             if fixed_len is not None:
                 return SaturationResult("census", None, count, L,
                                         class_reps=reps, path_class=path_class)
-            ends = {keys[r]: (closed.vertices[closed.src[r]], closed.vertices[closed.tgt[r]])
+            ends = {rep_key[r]: (closed.vertices[closed.src[r]], closed.vertices[closed.tgt[r]])
                     for r in roots}
             cat = _category_from_closure(pres.quiver, reps, ends, path_class)
             if cat is not None and cat.validate().ok:

@@ -6,8 +6,10 @@ import pytest
 from modelbench.catmodel import CatAmbient, ho_hom, inc0, k2_to_k1
 from modelbench.catmodel.homotopy import _path_route
 from modelbench.fincat import (
+    CatPresentation,
     Functor,
     GuardExceeded,
+    Quiver,
     empty_category,
     enumerate_functors,
     interval_category,
@@ -125,6 +127,21 @@ def test_saturate_past_path_budget_is_possibly_infinite(monkeypatch):
     monkeypatch.setattr(diagrams, "PATH_BUDGET", 4)
     result = diagrams.saturate(pres)
     assert result.status == "possibly_infinite" and result.category is None
+
+
+def test_saturate_non_parallel_arrows_raise_only_within_the_budget(monkeypatch):
+    # f: x -> y against the loop g: x -> x; the first horizon (L = 2) holds
+    # 6 paths, so at 4 the relation is never read
+    pres = CatPresentation(
+        Quiver("Q", ["x", "y"], [("f", "x", "y"), ("g", "x", "x")]),
+        [(("x", ("f",)), ("x", ("g",)))])
+    monkeypatch.setattr(diagrams, "PATH_BUDGET", 4)
+    result = diagrams.saturate(pres)
+    assert (result.status, result.class_count, result.explored_len) == (
+        "possibly_infinite", 0, 0)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="non-parallel"):
+        diagrams.saturate(pres)
 
 
 def jordan_coequalizer():

@@ -156,3 +156,11 @@ def test_saturate_rejects_a_malformed_presentation(arrows, relations, error):
     pres = CatPresentation(Quiver("Q", ["x", "y"], arrows), relations)
     with pytest.raises(ValueError, match=error):
         saturate(pres)
+
+
+def test_saturate_merges_no_arrows_on_a_relation_that_is_not_a_path():
+    # a and b run v -> v, so (u, (a,)) ~ (u, (b,)) names no path and the two
+    # loops stay apart: u, v, a, b and the four paths of length 2
+    pres = CatPresentation(Quiver("Q", ["u", "v"], [("a", "v", "v"), ("b", "v", "v")]),
+                           [(("u", ("a",)), ("u", ("b",)))])
+    assert saturate(pres, fixed_len=2).class_count == 8

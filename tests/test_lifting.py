@@ -214,12 +214,9 @@ def test_small_object_factorization_into_interval_returns(monkeypatch, source, i
     assert res.status in ("factored", "partial", "stuck")
 
 
-@pytest.mark.parametrize("source,index", [("0", 0), ("1", 0), ("1", 1)])
-def test_stage_two_cell_pushout_saturation_is_pinned(monkeypatch, source, index):
-    # the pushout the xfail above gives up on: a free 2-cycle between the
-    # objects over 0 and 1 of I, so the closure grows to the last horizon
-    # within the path budget (L = 4 at 5,000 paths) and stops there
-    monkeypatch.setattr(diagrams, "PATH_BUDGET", 5_000)
+def stage_saturations(monkeypatch, source, index):
+    """The saturations run by the factorization of the index-th functor
+    source -> I, which raises ValueError."""
     results = []
     original = diagrams.saturate
 
@@ -232,8 +229,27 @@ def test_stage_two_cell_pushout_saturation_is_pinned(monkeypatch, source, index)
     F = enumerate_functors(SOA_CATS[source](), interval_category())[index]
     with pytest.raises(ValueError):
         small_object_factorization(CatAmbient(), generating_cofibrations(), F, max_stages=3)
+    return results
+
+
+@pytest.mark.parametrize("source,index", [("0", 0), ("1", 0), ("1", 1)])
+def test_stage_two_cell_pushout_saturation_is_pinned(monkeypatch, source, index):
+    # the pushout the xfail above gives up on: a free 2-cycle between the
+    # objects over 0 and 1 of I, so the closure grows to the last horizon
+    # within the path budget (L = 4 at 5,000 paths) and stops there
+    monkeypatch.setattr(diagrams, "PATH_BUDGET", 5_000)
+    results = stage_saturations(monkeypatch, source, index)
     assert [(r.status, r.class_count, r.explored_len) for r in results] == [
         ("total", 2, 2), ("possibly_infinite", 10, 4)]
+
+
+@pytest.mark.parametrize("source,index", [("0", 0), ("1", 0), ("1", 1)])
+def test_stage_two_cell_pushout_saturation_at_the_default_budget(monkeypatch, source, index):
+    # 111,974 paths of the pushout's quiver fit L = 6 and L = 7 passes
+    # PATH_BUDGET; the closure runs on the 254 paths of its arrow quotient
+    results = stage_saturations(monkeypatch, source, index)
+    assert [(r.status, r.class_count, r.explored_len) for r in results] == [
+        ("total", 2, 2), ("possibly_infinite", 14, 6)]
 
 
 # -- memoized classification, orthogonality and section pairs ---------------

@@ -2,9 +2,10 @@
 ambient, and the cylinders and path objects kept on shared categories,
 against the uncached routes on fresh ones; the pinned mediating maps of
 the cylinder pushout check against the scan over every functor out of D';
-`saturate` on integer path ids against the closure on (src, arrows) keys
-that it replaced; and the one-reduction linear algebra of `complexes`
-against the per-vector routes it replaced."""
+`saturate` on integer path ids of the arrow quotient against the closure
+on the (src, arrows) keys of every path that it replaced; and the
+one-reduction linear algebra of `complexes` against the per-vector routes
+it replaced."""
 
 import random
 from fractions import Fraction
@@ -292,14 +293,22 @@ def ref_saturate(pres, max_len=10, fixed_len=None):
 
 @st.composite
 def presentations(draw):
-    """At most 3 vertices, at most 5 arrows (named out of quiver order) and,
-    when there is a vertex, 1 to 6 relations between parallel paths of
-    length <= 3."""
+    """At most 3 vertices, at most 5 arrows (named out of quiver order, some
+    drawn parallel to an earlier one) and, when there is a vertex, 1 to 6
+    relations between parallel paths of length <= 3 or between two parallel
+    arrows.  Some relations state both sides from another vertex, so that
+    a side with an arrow is no longer a path."""
     vertices = [f"v{i}" for i in range(draw(st.integers(0, 3)))]
     names = draw(st.permutations("abcde"))
     ends = st.sampled_from(vertices) if vertices else st.nothing()
     n_arrows = draw(st.integers(0, 5)) if vertices else 0
-    arrows = [(names[i], draw(ends), draw(ends)) for i in range(n_arrows)]
+    arrows = []
+    for i in range(n_arrows):
+        if arrows and draw(st.booleans()):
+            _, s, t = draw(st.sampled_from(arrows))
+        else:
+            s, t = draw(ends), draw(ends)
+        arrows.append((names[i], s, t))
     parallel = {}           # (src, tgt) -> paths of length <= 3
     layer = [(v, (), v) for v in vertices]
     for _ in range(4):
@@ -311,7 +320,13 @@ def presentations(draw):
     if parallel:
         for _ in range(draw(st.integers(1, 6))):
             paths = parallel[draw(st.sampled_from(sorted(parallel)))]
-            relations.append((draw(st.sampled_from(paths)), draw(st.sampled_from(paths))))
+            if draw(st.booleans()):
+                paths = [p for p in paths if len(p[1]) == 1] or paths
+            pa, pb = draw(st.sampled_from(paths)), draw(st.sampled_from(paths))
+            if draw(st.integers(0, 3)) == 0:
+                u = draw(st.sampled_from(vertices))
+                pa, pb = (u, pa[1]), (u, pb[1])
+            relations.append((pa, pb))
     return CatPresentation(Quiver("Q", vertices, arrows), relations)
 
 
