@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..fincat import FinCat, Functor, enumerate_functors
+from ..fincat import FinCat, Functor, enumerate_functors, free_category
 from ..fincat.core import identity_functor
 from ..fincat.diagrams import CatDiagram, colimit
 from ..fincat.enumfun import forced_images
@@ -62,17 +62,12 @@ class CatAmbient:
     def attach_cells(self, obj: FinCat, attachments):
         """Pushout of the coproduct of generating functors along their
         attaching maps, computed by saturating the colimit presentation."""
-        shape_objs = ["c"] + [f"d{k}" for k in range(len(attachments))] + \
-                     [f"e{k}" for k in range(len(attachments))]
-        mors = [(f"id_{o}", o, o) for o in shape_objs]
-        for k in range(len(attachments)):
-            mors.append((f"att{k}", f"d{k}", "c"))
-            mors.append((f"gen{k}", f"d{k}", f"e{k}"))
-        comp = {}
-        for (m, d, c) in mors:
-            comp[(m, f"id_{d}")] = m
-            comp[(f"id_{c}", m)] = m
-        shape = FinCat("cells", shape_objs, mors, {o: f"id_{o}" for o in shape_objs}, comp)
+        ks = range(len(attachments))
+        arrows = []
+        for k in ks:
+            arrows += [(f"att{k}", f"d{k}", "c"), (f"gen{k}", f"d{k}", f"e{k}")]
+        shape = free_category("cells", ["c"] + [f"d{k}" for k in ks] + [f"e{k}" for k in ks],
+                              arrows)
         nodes = {"c": obj}
         edges = {}
         for k, (gen, att) in enumerate(attachments):

@@ -86,15 +86,9 @@ def zero_complex(window) -> Complex:
     return Complex(window, {}, {}, name="0")
 
 
-def stalk(n: int, dim=1, window=None) -> Complex:
+def stalk(n: int, window=None) -> Complex:
     w = window or (n, n)
-    return Complex(w, {n: dim}, {}, name=f"K[{n}]")
-
-
-def contractible_two_term(n: int, window=None) -> Complex:
-    """K t + K dt with |t| = n, d(t) = dt."""
-    w = window or (n, n + 1)
-    return Complex(w, {n: 1, n + 1: 1}, {n: [[1]]}, name=f"V[{n}]")
+    return Complex(w, {n: 1}, {}, name=f"K[{n}]")
 
 
 class ChainMap:
@@ -197,15 +191,6 @@ def cohomology(X: Complex, n: int) -> CohomologySlice:
         representatives=reps, boundary_degree=n in (X.lo, X.hi))
 
 
-def cohomology_dims(X: Complex) -> dict[int, int]:
-    return {n: cohomology(X, n).h_dim for n in X.degrees()}
-
-
-def is_acyclic(X: Complex, degrees=None) -> bool:
-    degs = degrees if degrees is not None else X.degrees()
-    return all(cohomology(X, n).h_dim == 0 for n in degs)
-
-
 def cohomology_map(f: ChainMap, n: int) -> Mat:
     """Matrix of H^n(f) in the representative bases of source and target."""
     sx = cohomology(f.source, n)
@@ -239,12 +224,6 @@ def suspension(X: Complex) -> Complex:
     dims = {n - 1: k for n, k in X.dims.items()}
     d = {n - 1: [[-x for x in row] for row in m] for n, m in X.d.items()}
     return Complex((X.lo - 1, X.hi - 1), dims, d, name=f"S({X.name})")
-
-
-def suspension_degree_map(X: Complex):
-    """The identification x -> sx as identity matrices X^n -> Sigma(X)^{n-1}."""
-    return {n: [[Fraction(1 if i == j else 0) for j in range(X.dim(n))]
-                for i in range(X.dim(n))] for n in X.degrees()}
 
 
 def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:

@@ -2,7 +2,7 @@ from .core import FinCat, Functor, NatTransf, ValidationReport
 from .build import (
     empty_category,
     unit_category,
-    discrete_category,
+    free_category,
     k_category,
     interval_category,
     product,
@@ -16,16 +16,16 @@ from .enumfun import (
     is_equivalence_structural,
     find_quasi_inverse,
 )
-from .quivers import Quiver, PathCategory, path_category
+from .quivers import Quiver
 from .diagrams import CatDiagram, CatPresentation, colimit_presentation, saturate
 
 __all__ = [
     "FinCat", "Functor", "NatTransf", "ValidationReport",
-    "empty_category", "unit_category", "discrete_category", "k_category",
+    "empty_category", "unit_category", "free_category", "k_category",
     "interval_category", "product", "coproduct",
     "GuardExceeded", "enumerate_functors", "natural_isos",
     "find_category_isomorphism", "is_equivalence_structural",
     "find_quasi_inverse",
-    "Quiver", "PathCategory", "path_category",
+    "Quiver",
     "CatDiagram", "CatPresentation", "colimit_presentation", "saturate",
 ]

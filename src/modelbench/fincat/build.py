@@ -10,36 +10,32 @@ from __future__ import annotations
 from .core import FinCat
 
 
+def free_category(name, objects, arrows) -> FinCat:
+    """The category on `objects` with the identity id_x of each object x and
+    the given (id, dom, cod) arrows, no two of which compose.  Morphisms are
+    the identities in object order, then the arrows; the composition table
+    lists each morphism m: d -> c as m o id_d, then id_c o m."""
+    objs = list(objects)
+    mors = [(f"id_{x}", x, x) for x in objs] + list(arrows)
+    comp = {}
+    for (m, d, c) in mors:
+        comp[(m, f"id_{d}")] = m
+        comp[(f"id_{c}", m)] = m
+    return FinCat(name, objs, mors, {x: f"id_{x}" for x in objs}, comp)
+
+
 def empty_category() -> FinCat:
-    return FinCat("0", [], [], {}, {})
+    return free_category("0", [], [])
 
 
-def unit_category(obj="*") -> FinCat:
-    i = f"id_{obj}"
-    return FinCat("1", [obj], [(i, obj, obj)], {obj: i}, {(i, i): i})
-
-
-def discrete_category(objs, name=None) -> FinCat:
-    objs = list(objs)
-    mors = [(f"id_{x}", x, x) for x in objs]
-    comp = {(m, m): m for (m, _, _) in mors}
-    return FinCat(name or f"disc{len(objs)}", objs, mors,
-                  {x: f"id_{x}" for x in objs}, comp)
+def unit_category() -> FinCat:
+    return free_category("1", ["*"], [])
 
 
 def k_category(n: int) -> FinCat:
     """K_n: objects 0 and 1 with n parallel morphisms a1..an from 1 to 0.
     K_0 is the discrete category on two objects."""
-    if n == 0:
-        return discrete_category(["0", "1"], name="K0")
-    objs = ["0", "1"]
-    mors = [("id_0", "0", "0"), ("id_1", "1", "1")]
-    mors += [(f"a{i}", "1", "0") for i in range(1, n + 1)]
-    comp = {}
-    for (m, d, c) in mors:
-        comp[(m, f"id_{d}")] = m
-        comp[(f"id_{c}", m)] = m
-    return FinCat(f"K{n}", objs, mors, {"0": "id_0", "1": "id_1"}, comp)
+    return free_category(f"K{n}", ["0", "1"], [(f"a{i}", "1", "0") for i in range(1, n + 1)])
 
 
 def interval_category() -> FinCat:

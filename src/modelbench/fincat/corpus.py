@@ -4,7 +4,8 @@ and the acceptance suite."""
 from __future__ import annotations
 
 from .build import empty_category, interval_category, k_category, product, unit_category
-from .quivers import Quiver, path_category
+from .diagrams import CatPresentation, saturate
+from .quivers import Quiver
 
 
 def a2_quiver() -> Quiver:
@@ -16,9 +17,10 @@ def jordan_quiver() -> Quiver:
 
 
 def a2_path_category():
-    pc = path_category(a2_quiver(), 2)
-    assert pc.total
-    return pc.category
+    """P(A2), the free category on 1 -alpha-> 2, saturated from the A2
+    quiver with no relations.  Its morphisms are [e_1], [e_2] and [alpha],
+    in that order."""
+    return saturate(CatPresentation(a2_quiver(), [])).category
 
 
 def base_corpus() -> dict:

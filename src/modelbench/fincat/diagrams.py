@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .build import free_category
 from .core import FinCat, Functor, ValidationReport, identity_functor
 from .quivers import Quiver, path_name
 
@@ -456,30 +457,12 @@ def _category_from_closure(Q, reps, ends, path_class):
     return FinCat("colim", Q.vertices, mors, ident, comp)
 
 
-def discrete_shape(labels):
-    from .build import discrete_category
-    return discrete_category(list(labels), name="shape")
-
-
 def span_shape() -> FinCat:
-    objs = ["s", "l", "r"]
-    mors = [("id_s", "s", "s"), ("id_l", "l", "l"), ("id_r", "r", "r"),
-            ("f", "s", "l"), ("g", "s", "r")]
-    comp = {}
-    for (m, d, c) in mors:
-        comp[(m, f"id_{d}")] = m
-        comp[(f"id_{c}", m)] = m
-    return FinCat("span", objs, mors, {o: f"id_{o}" for o in objs}, comp)
+    return free_category("span", ["s", "l", "r"], [("f", "s", "l"), ("g", "s", "r")])
 
 
 def parallel_pair_shape() -> FinCat:
-    objs = ["a", "b"]
-    mors = [("id_a", "a", "a"), ("id_b", "b", "b"), ("u", "a", "b"), ("v", "a", "b")]
-    comp = {}
-    for (m, d, c) in mors:
-        comp[(m, f"id_{d}")] = m
-        comp[(f"id_{c}", m)] = m
-    return FinCat("pair", objs, mors, {"a": "id_a", "b": "id_b"}, comp)
+    return free_category("pair", ["a", "b"], [("u", "a", "b"), ("v", "a", "b")])
 
 
 def pushout_diagram(F: Functor, G: Functor, name="pushout") -> CatDiagram:

@@ -56,18 +56,14 @@ def forced_images(legs):
     return fixed_obj, fixed_mor
 
 
-def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
-                       first_only=False, mor_injective=False):
+def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None):
     """All functors C -> D, via backtracking over object and morphism images.
 
     fixed_obj / fixed_mor pre-pin images (used to enumerate under
-    constraints, e.g. liftings).  `mor_injective` keeps only functors
-    injective on all morphisms, identities included (so also on objects),
-    pruning during the search.  Raises GuardExceeded past NODE_BUDGET
+    constraints, e.g. liftings).  Raises GuardExceeded past NODE_BUDGET
     search nodes.
     """
     idents = set(C.identity.values())
-    d_idents = set(D.identity.values())
     free_mors, buckets = _composition_buckets(C)
     fixed_obj = dict(fixed_obj or {})
     fixed_mor = dict(fixed_mor or {})
@@ -92,23 +88,18 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
             for x in C.objects:
                 full_mor[C.identity[x]] = D.identity[obj_map[x]]
             results.append(Functor(f"F{len(results)}", C, D, obj_map, full_mor))
-            return not first_only
+            return
         m = free_mors[p]
         candidates = ([fixed_mor[m]] if m in fixed_mor
                       else D.hom(obj_map[C.dom[m]], obj_map[C.cod[m]]))
-        used = set(mor_map.values()) | d_idents if mor_injective else ()
         for c in candidates:
-            if mor_injective and c in used:
-                continue
             nodes += 1
             if nodes > budget:
                 raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
             mor_map[m] = c
-            ok = check_bucket(p, obj_map, mor_map)
-            if ok and not assign_mors(p + 1, obj_map, dict(mor_map)):
-                return False
+            if check_bucket(p, obj_map, mor_map):
+                assign_mors(p + 1, obj_map, dict(mor_map))
             del mor_map[m]
-        return True
 
     def assign_objs(k, obj_map):
         nonlocal nodes
@@ -117,24 +108,20 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None,
             for m, v in fixed_mor.items():
                 if m in idents:
                     if v != D.identity[obj_map[C.dom[m]]]:
-                        return True
+                        return
                 elif v not in D.hom(obj_map[C.dom[m]], obj_map[C.cod[m]]):
-                    return True
-            mor_seed = {}
-            return assign_mors(0, dict(obj_map), mor_seed)
+                    return
+            assign_mors(0, dict(obj_map), {})
+            return
         x = obj_list[k]
         candidates = [fixed_obj[x]] if x in fixed_obj else D.objects
         for y in candidates:
-            if mor_injective and y in obj_map.values():
-                continue
             nodes += 1
             if nodes > budget:
                 raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
             obj_map[x] = y
-            if not assign_objs(k + 1, obj_map):
-                return False
+            assign_objs(k + 1, obj_map)
             del obj_map[x]
-        return True
 
     assign_objs(0, {})
     return results
@@ -187,22 +174,18 @@ def natural_isos(F: Functor, G: Functor) -> NatTransf | None:
 
 def find_category_isomorphism(C: FinCat, D: FinCat):
     """An isomorphism of categories C ~= D (bijective on objects and
-    morphisms), or None.  With equal counts, the first functor injective on
-    all morphisms is already bijective; the check below re-verifies it."""
+    morphisms), or None: the first such functor of `enumerate_functors`.
+    Categories with different object or morphism counts, or different hom
+    profiles, are told apart before any enumeration."""
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
         return None
     homprofile = lambda E: sorted(
         len(E.hom(x, y)) for x in E.objects for y in E.objects)
     if homprofile(C) != homprofile(D):
         return None
-    found = enumerate_functors(C, D, mor_injective=True, first_only=True)
-    if not found:
-        return None
-    F = found[0]
-    if not (F.is_injective_on_objects() and F.is_surjective_on_objects()
-            and len(set(F.mor_map.values())) == len(D.morphisms)):
-        raise AssertionError(f"{F.name} is injective on morphisms but not bijective")
-    return F
+    return next((F for F in enumerate_functors(C, D)
+                 if F.is_injective_on_objects() and F.is_surjective_on_objects()
+                 and len(set(F.mor_map.values())) == len(D.morphisms)), None)
 
 
 def is_equivalence_structural(F: Functor) -> bool:

@@ -28,17 +28,6 @@ def shape(a: Mat) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def mat(rows, width: int | None = None) -> Mat:
-    """Normalize entries to Fraction; `width` pins the column count of an
-    empty/zero-row matrix."""
-    out = [[frac(x) for x in row] for row in rows]
-    if width is not None:
-        for row in out:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-    return out
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     ma, na = shape(a)
     mb, nb = shape(b)

@@ -7,18 +7,14 @@ from modelbench.complexes import (
     ChainMap,
     Complex,
     cohomology,
-    cohomology_dims,
     cohomology_map,
     cone,
-    contractible_two_term,
     identity_chain_map,
-    is_acyclic,
     is_quasi_iso,
     solve_section,
     stalk,
     surj_quas_criteria,
     suspension,
-    suspension_degree_map,
     zero_complex,
 )
 from modelbench.linalg import mat_mul, mat_vec, nullspace, rank, transpose, zeros
@@ -26,7 +22,11 @@ from modelbench.linalg import mat_mul, mat_vec, nullspace, rank, transpose, zero
 
 def V():
     # K t + K dt with |t| = 0: the contractible two-term complex
-    return contractible_two_term(0, window=(-1, 1))
+    return Complex((-1, 1), {0: 1, 1: 1}, {0: [[1]]}, name="V")
+
+
+def h_dims(X):
+    return {n: cohomology(X, n).h_dim for n in X.degrees()}
 
 
 def test_contractible_v_has_zero_cohomology():
@@ -37,7 +37,7 @@ def test_contractible_v_has_zero_cohomology():
 
 def test_zero_complex_cohomology():
     X = zero_complex((-2, 2))
-    assert cohomology_dims(X) == {n: 0 for n in X.degrees()}
+    assert h_dims(X) == {n: 0 for n in X.degrees()}
 
 
 def test_stalk_cohomology():
@@ -56,7 +56,7 @@ def test_suspension_shifts_and_negates():
     assert S.diff(-1) == [[-x for x in row] for row in X.diff(0)]
     SS = suspension(S)
     assert SS.diff(-2) == X.diff(0)   # double negation
-    assert is_acyclic(S)
+    assert set(h_dims(S).values()) == {0}
 
 
 def test_suspension_stalk():
@@ -64,21 +64,10 @@ def test_suspension_stalk():
     assert S.dim(-1) == 1 and S.window == (-1, -1)
 
 
-def test_suspension_map_anticommutes():
-    X = V()
-    S = suspension(X)
-    xi = suspension_degree_map(X)
-    # xi d = -d_S xi on X^n for n with n+1 in the window
-    for n in range(X.lo, X.hi):
-        lhs = mat_mul(xi[n + 1], X.diff(n))
-        rhs = [[-x for x in row] for row in mat_mul(S.diff(n - 1), xi[n])]
-        assert lhs == rhs
-
-
 def test_cone_of_identity_acyclic():
     X = V()
     C, inc, proj = cone(identity_chain_map(X))
-    assert is_acyclic(C)
+    assert set(h_dims(C).values()) == {0}
 
 
 def test_cone_of_map_to_zero_is_suspension():
@@ -298,7 +287,7 @@ def test_complex_rejects_data_outside_its_window():
         stalk(2, window=(0, 1))
     # zero data outside the window is the convention, not an error
     X = Complex((0, 1), {0: 1, 1: 1, 2: 0}, {0: [[1]], 1: [[0]]})
-    assert X.validate() == (True, []) and cohomology_dims(X) == {0: 0, 1: 0}
+    assert X.validate() == (True, []) and h_dims(X) == {0: 0, 1: 0}
 
 
 def test_section_condition_ranges():

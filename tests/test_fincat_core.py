@@ -1,10 +1,17 @@
+import pytest
+
+from modelbench.catmodel import CatAmbient
+from modelbench.catmodel import ambient as ambient_module
+from modelbench.catmodel.generators import empty_to_unit
 from modelbench.fincat import (
     CatPresentation,
     FinCat,
+    Functor,
     coproduct,
-    discrete_category,
     empty_category,
     enumerate_functors,
+    find_category_isomorphism,
+    free_category,
     interval_category,
     k_category,
     product,
@@ -12,6 +19,7 @@ from modelbench.fincat import (
     unit_category,
 )
 from modelbench.fincat.corpus import a2_path_category, base_corpus, full_corpus, jordan_quiver
+from modelbench.fincat.diagrams import parallel_pair_shape, span_shape
 
 
 def test_interval_category_is_valid():
@@ -77,9 +85,84 @@ def test_fun_i_to_i_count():
     assert len(fns) == 4
 
 
+def test_category_isomorphism_yes_and_no():
+    span = span_shape()
+    # equal counts and hom profiles, so only the enumeration tells them apart
+    cospan = free_category("cospan", ["s", "l", "r"], [("f", "l", "s"), ("g", "r", "s")])
+    assert find_category_isomorphism(span, cospan) is None
+    relabelled = free_category("span'", ["y", "x", "z"], [("q", "x", "z"), ("p", "x", "y")])
+    F = find_category_isomorphism(span, relabelled)
+    assert F is not None and F.validate().ok
+    assert sorted(F.obj_map.values()) == sorted(relabelled.objects)
+    assert sorted(F.mor_map.values()) == sorted(relabelled.morphism_ids)
+
+
 def test_discrete_category_helper():
-    D = discrete_category(["x", "y", "z"])
+    D = free_category("disc3", ["x", "y", "z"], [])
     assert D.validate().ok and len(D.morphisms) == 3
+
+
+# -- free_category against the hand-written tables it replaced -------------
+
+
+def _hand_written(name, objs, arrows):
+    """The table every shape builder wrote out by hand: identities, then the
+    arrows, with m o id_d and id_c o m for each morphism m: d -> c."""
+    mors = [(f"id_{o}", o, o) for o in objs] + arrows
+    comp = {}
+    for (m, d, c) in mors:
+        comp[(m, f"id_{d}")] = m
+        comp[(f"id_{c}", m)] = m
+    return FinCat(name, objs, mors, {o: f"id_{o}" for o in objs}, comp)
+
+
+def _hand_written_discrete(objs, name):
+    mors = [(f"id_{x}", x, x) for x in objs]
+    comp = {(m, m): m for (m, _, _) in mors}
+    return FinCat(name, objs, mors, {x: f"id_{x}" for x in objs}, comp)
+
+
+def _cells_shape(n):
+    objs = ["c"] + [f"d{k}" for k in range(n)] + [f"e{k}" for k in range(n)]
+    arrows = []
+    for k in range(n):
+        arrows.append((f"att{k}", f"d{k}", "c"))
+        arrows.append((f"gen{k}", f"d{k}", f"e{k}"))
+    return _hand_written("cells", objs, arrows)
+
+
+def _table(C):
+    return (C.name, C.objects, C.morphisms, C.identity, list(C.compose_table.items()))
+
+
+@pytest.mark.parametrize("built,reference", [
+    (lambda: k_category(0), lambda: _hand_written_discrete(["0", "1"], "K0")),
+    (lambda: k_category(1), lambda: _hand_written("K1", ["0", "1"], [("a1", "1", "0")])),
+    (lambda: k_category(2), lambda: _hand_written(
+        "K2", ["0", "1"], [("a1", "1", "0"), ("a2", "1", "0")])),
+    (lambda: k_category(3), lambda: _hand_written(
+        "K3", ["0", "1"], [("a1", "1", "0"), ("a2", "1", "0"), ("a3", "1", "0")])),
+    (unit_category, lambda: FinCat("1", ["*"], [("id_*", "*", "*")], {"*": "id_*"},
+                                   {("id_*", "id_*"): "id_*"})),
+    (empty_category, lambda: FinCat("0", [], [], {}, {})),
+    (span_shape, lambda: _hand_written("span", ["s", "l", "r"],
+                                       [("f", "s", "l"), ("g", "s", "r")])),
+    (parallel_pair_shape, lambda: _hand_written("pair", ["a", "b"],
+                                                [("u", "a", "b"), ("v", "a", "b")])),
+], ids=["K0", "K1", "K2", "K3", "1", "0", "span", "pair"])
+def test_free_category_reproduces_the_hand_written_tables(built, reference):
+    assert _table(built()) == _table(reference())
+
+
+def test_attach_cells_shape_is_the_hand_written_table(monkeypatch):
+    shapes = []
+    colimit = ambient_module.colimit
+    monkeypatch.setattr(ambient_module, "colimit",
+                        lambda D: shapes.append(D.shape) or colimit(D))
+    gen = empty_to_unit()
+    att = Functor("att", gen.source, unit_category(), {}, {})
+    CatAmbient().attach_cells(unit_category(), [(gen, att)] * 2)
+    assert _table(shapes[0]) == _table(_cells_shape(2))
 
 
 def test_base_corpus_all_valid():

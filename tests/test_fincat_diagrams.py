@@ -7,19 +7,18 @@ from modelbench.fincat import (
     Quiver,
     coproduct,
     empty_category,
+    free_category,
     interval_category,
     k_category,
-    path_category,
     saturate,
     unit_category,
 )
 from modelbench.fincat.core import identity_functor
-from modelbench.fincat.corpus import a2_path_category, a2_quiver, jordan_quiver
+from modelbench.fincat.corpus import a2_path_category
 from modelbench.fincat.diagrams import (
     coequalizer_diagram,
     colimit,
     colimit_presentation,
-    discrete_shape,
     pushout_diagram,
 )
 
@@ -34,29 +33,25 @@ def unit_into(C, obj, name=None):
 
 
 def test_a2_path_category():
-    pc = path_category(a2_quiver(), 2)
-    assert pc.total
-    assert sorted(pc.morphism_names) == ["alpha", "e_1", "e_2"]
-    assert pc.category.validate().ok
-
-
-def test_jordan_path_category_not_total():
-    pc = path_category(jordan_quiver(), 3)
-    assert not pc.total
-    assert len(pc.morphism_names) == 4   # e, alpha, alpha^2, alpha^3
-    assert pc.overflow
-
-
-def test_jordan_cap_count_property():
-    for n in range(5):
-        pc = path_category(jordan_quiver(), n)
-        assert len(pc.morphism_names) == n + 1
+    # P(A2) as the truncated path-category builder gave it; saturation names
+    # each morphism by its path in brackets, and nothing else changes
+    PA2 = a2_path_category()
+    rn = lambda m: f"[{m}]"
+    assert PA2.objects == ["1", "2"]
+    assert PA2.morphisms == [(rn("e_1"), "1", "1"), (rn("e_2"), "2", "2"),
+                             (rn("alpha"), "1", "2")]
+    assert PA2.identity == {"1": rn("e_1"), "2": rn("e_2")}
+    parent_comp = [(("e_1", "e_1"), "e_1"), (("e_2", "e_2"), "e_2"),
+                   (("e_2", "alpha"), "alpha"), (("alpha", "e_1"), "alpha")]
+    assert list(PA2.compose_table.items()) == [((rn(g), rn(f)), rn(h))
+                                               for (g, f), h in parent_comp]
+    assert PA2.validate().ok
 
 
 def test_empty_quiver_path_category():
-    pc = path_category(Quiver("E", [], []), 3)
-    assert pc.total
-    assert pc.category.objects == [] and pc.category.morphisms == []
+    result = saturate(CatPresentation(Quiver("E", [], []), []))
+    assert result.total
+    assert result.category.objects == [] and result.category.morphisms == []
 
 
 # -- colimits ------------------------------------------------------------
@@ -64,7 +59,7 @@ def test_empty_quiver_path_category():
 
 def test_coproduct_colimit_total_and_matches_disjoint_union():
     C, I = k_category(2), interval_category()
-    D = CatDiagram("copr", discrete_shape(["a", "b"]), {"a": C, "b": I}, {})
+    D = CatDiagram("copr", free_category("shape", ["a", "b"], []), {"a": C, "b": I}, {})
     pres, result, injections = colimit(D)
     assert result.total
     direct = coproduct(C, I)
@@ -121,13 +116,13 @@ def test_objects_commute_with_colimits():
 
 def test_diagram_validation():
     C = k_category(1)
-    D = CatDiagram("d", discrete_shape(["a"]), {"a": C}, {})
+    D = CatDiagram("d", free_category("shape", ["a"], []), {"a": C}, {})
     assert D.validate().ok
 
 
 def test_diagram_validation_reports_a_missing_node():
     C = k_category(1)
-    shape = discrete_shape(["a", "b"])
+    shape = free_category("shape", ["a", "b"], [])
     # without and with an explicit edge at the missing node
     for edges in ({}, {shape.identity["b"]: identity_functor(C)}):
         report = CatDiagram("d", shape, {"a": C}, edges).validate()
@@ -139,7 +134,7 @@ def test_diagram_validation_rejects_a_non_identity_identity_edge():
     I = interval_category()
     swap = Functor("swap", I, I, {"0": "1", "1": "0"},
                    {"id_0": "id_1", "id_1": "id_0", "a": "a_inv", "a_inv": "a"})
-    shape = discrete_shape(["a"])
+    shape = free_category("shape", ["a"], [])
     D = CatDiagram("d", shape, {"a": I}, {shape.identity["a"]: swap})
     report = D.validate()
     assert not report.ok

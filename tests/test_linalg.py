@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from modelbench.linalg import (
-    mat,
     mat_mul,
     mat_vec,
     nullspace,
@@ -11,6 +10,10 @@ from modelbench.linalg import (
     rref,
     solve,
 )
+
+
+def mat(rows):
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def test_rref_and_rank():
