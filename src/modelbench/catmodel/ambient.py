@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..fincat import FinCat, Functor, enumerate_functors, free_category
 from ..fincat.core import identity_functor
 from ..fincat.diagrams import CatDiagram, colimit
-from ..fincat.enumfun import forced_images
+from ..fincat.enumfun import forced_images, functors_with
 from ..lifting.search import (OrthogonalityResult, enumerate_squares, find_lifting,
                               is_orthogonal)
 
@@ -134,25 +134,10 @@ class CatAmbient:
 
     def induced_from_cells(self, stage, f: Functor, bottoms):
         """The unique map out of the pushout agreeing with f on the old part
-        and with the chosen bottoms on the new cells."""
-        target = f.target
-        pins = forced_images([(stage.inclusion, f)] + list(zip(stage.cell_maps, bottoms)))
-        if pins is None:
-            raise ValueError("incompatible cell bottoms")
-        obj_map, mor_map = pins
-        P = stage.result
-        # generated colimit: remaining morphisms are composites of images;
-        # fill by composing representative decompositions
-        missing_obj = [x for x in P.objects if x not in obj_map]
-        if missing_obj:
-            raise ValueError(f"pushout object not covered by legs: {missing_obj}")
-        changed = True
-        while changed and len(mor_map) < len(P.morphisms):
-            changed = False
-            for (g, f1), h in P.compose_table.items():
-                if h not in mor_map and g in mor_map and f1 in mor_map:
-                    mor_map[h] = target.compose(mor_map[g], mor_map[f1])
-                    changed = True
-        if len(mor_map) < len(P.morphisms):
-            raise ValueError("pushout morphism not generated by the legs")
-        return Functor(f"{f.name}'", P, target, obj_map, mor_map)
+        and with the chosen bottoms on the new cells; ValueError unless
+        exactly one functor does."""
+        legs = [(stage.inclusion, f)] + list(zip(stage.cell_maps, bottoms))
+        maps = list(functors_with(stage.result, f.target, legs, []))
+        if len(maps) != 1:
+            raise ValueError(f"{len(maps)} maps out of the cell pushout agree with its legs")
+        return maps[0]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.build import _pair, induced_category, induced_mor
-from ..fincat.enumfun import forced_images
+from ..fincat.enumfun import functors_with
 from .classify import FunctorClassification, classify
 from .interval import cylinder, path_object, _iso_triples, _triple
 
@@ -124,16 +124,6 @@ def _pushout_homotopy(F: Functor, fac: CylinderFactorization) -> Functor:
     return H
 
 
-def _mediating_maps(fac: CylinderFactorization, H: Functor, u: Functor, v: Functor):
-    """The functors w: D' -> T with w o H = u and w o inc = v.  The two legs
-    pin w's image of every object and morphism they reach, so one pinned
-    enumeration finds every candidate; two legs that pin one image apart
-    leave none."""
-    pins = forced_images([(H, u), (fac.inc, v)])
-    ws = [] if pins is None else enumerate_functors(fac.dprime, u.target, *pins)
-    return [w for w in ws if H.then(w) == u and fac.inc.then(w) == v]
-
-
 def cylinder_pushout_check(F: Functor, test_categories) -> UniversalCheck:
     """The square  C --F--> D,  iota0 v  v inc,  C x I --H--> D'  is a
     pushout: against each test category, every compatible cocone factors
@@ -144,27 +134,20 @@ def cylinder_pushout_check(F: Functor, test_categories) -> UniversalCheck:
     iota0 = cylinder(C).iota0
     checked = 0
     for T in test_categories:
-        vs = enumerate_functors(D, T)
         for u in enumerate_functors(H.source, T):
-            u0 = iota0.then(u)
-            for v in vs:
-                if F.then(v) != u0:
-                    continue
+            for v in functors_with(D, T, [(F, iota0.then(u))], []):
                 checked += 1
-                mediating = _mediating_maps(fac, H, u, v)
+                mediating = list(functors_with(fac.dprime, T, [(H, u), (fac.inc, v)], []))
                 if len(mediating) != 1:
                     return UniversalCheck(False, checked,
                                           f"{len(mediating)} mediating maps")
     return UniversalCheck(True, checked)
 
 
-def cocylinder_pullback_check(F: Functor, test_categories) -> UniversalCheck:
-    """The square  C' --K--> Hom(I, D),  pr1 v  v p0,  C --F--> D  is a
-    pullback: cones from each test category factor uniquely through C'."""
-    C, D = F.source, F.target
-    fac = functor_cocylinder_factorization(F)
-    path = path_object(D)
-    hom_id, p0, p1 = path.path_cat, path.p0, path.p1
+def _pullback_homotopy(F: Functor, fac: CocylinderFactorization, path) -> Functor:
+    """The remark homotopy K: C' -> Hom(I, D) of the pullback square, sending
+    the triple (c, alpha, d) to (F(c), alpha, d); checked to be a functor
+    that closes the square."""
     k_obj = {}
     k_mor = {}
     for t in fac.cprime.objects:
@@ -172,31 +155,32 @@ def cocylinder_pullback_check(F: Functor, test_categories) -> UniversalCheck:
         k_obj[t] = _triple(F.obj_map[c], a, d)
     for (m, t1, t2) in fac.cprime.morphisms:
         k_mor[m] = induced_mor(k_obj[t1], k_obj[t2], F.mor_map[fac.pr1.mor_map[m]])
-    K = Functor("K", fac.cprime, hom_id, k_obj, k_mor)
+    K = Functor("K", fac.cprime, path.path_cat, k_obj, k_mor)
     if not K.validate().ok:
         raise AssertionError("remark homotopy K is not a functor")
     # square p0 o K = F o pr1
-    if K.then(p0) != fac.pr1.then(F):
+    if K.then(path.p0) != fac.pr1.then(F):
         raise AssertionError("pullback square does not commute")
     # equational chain: q = p1 K recovers F = q iota
-    if K.then(p1) != fac.q:
+    if K.then(path.p1) != fac.q:
         raise AssertionError("p1 K differs from q")
     if fac.iota.then(fac.q) != F:
         raise AssertionError("equational chain fails to recover F = q iota")
+    return K
 
+
+def cocylinder_pullback_check(F: Functor, test_categories) -> UniversalCheck:
+    """The square  C' --K--> Hom(I, D),  pr1 v  v p0,  C --F--> D  is a
+    pullback: cones from each test category factor uniquely through C'."""
+    fac = functor_cocylinder_factorization(F)
+    path = path_object(F.target)
+    K = _pullback_homotopy(F, fac, path)
     checked = 0
     for T in test_categories:
-        us = enumerate_functors(T, C)
-        vs = enumerate_functors(T, hom_id)
-        ws = enumerate_functors(T, fac.cprime)
-        for u in us:
-            uf = u.then(F)
-            for v in vs:
-                if v.then(p0) != uf:
-                    continue
+        for u in enumerate_functors(T, F.source):
+            for v in functors_with(T, path.path_cat, [], [(path.p0, u.then(F))]):
                 checked += 1
-                mediating = [w for w in ws
-                             if w.then(fac.pr1) == u and w.then(K) == v]
+                mediating = list(functors_with(T, fac.cprime, [], [(fac.pr1, u), (K, v)]))
                 if len(mediating) != 1:
                     return UniversalCheck(False, checked,
                                           f"{len(mediating)} mediating maps")

@@ -10,7 +10,7 @@ from math import prod
 
 from ..fincat import Functor, GuardExceeded, NatTransf, enumerate_functors, enumfun
 from ..fincat.build import induced_mor
-from ..fincat.enumfun import natural_isos
+from ..fincat.enumfun import functors_with, natural_isos
 from .interval import cylinder, path_object, _pair, _triple
 
 
@@ -25,44 +25,6 @@ class NatIsoDecision:
     @property
     def agree(self):
         return len(set(self.routes)) == 1
-
-
-def _cylinder_route(F: Functor, G: Functor):
-    C, D = F.source, F.target
-    cyl = cylinder(C)
-    fixed_obj = {}
-    fixed_mor = {}
-    for x in C.objects:
-        fixed_obj[_pair(x, "0")] = F.obj_map[x]
-        fixed_obj[_pair(x, "1")] = G.obj_map[x]
-    for m in C.morphism_ids:
-        fixed_mor[_pair(m, "id_0")] = F.mor_map[m]
-        fixed_mor[_pair(m, "id_1")] = G.mor_map[m]
-    for H in enumerate_functors(cyl.cyl, D, fixed_obj=fixed_obj, fixed_mor=fixed_mor):
-        if cyl.iota0.then(H) == F and cyl.iota1.then(H) == G:
-            return H
-    return None
-
-
-def _path_route(F: Functor, G: Functor):
-    """The first functor K: C -> Hom(I, D) with K.p0 = F and K.p1 = G, or
-    None.  Such a K sends x to an object t with p0(t) = F(x) and
-    p1(t) = G(x), so the object images are pinned to those candidates
-    before each search.  The choices run in `product` order over
-    path_cat's object order, which is the order the unpinned search
-    assigns objects in, so the first K is the one an unpinned scan finds;
-    an x with no candidate leaves no K."""
-    C = F.source
-    path = path_object(F.target)
-    p0, p1 = path.p0.obj_map, path.p1.obj_map
-    choices = [[t for t in path.path_cat.objects
-                if p0[t] == F.obj_map[x] and p1[t] == G.obj_map[x]]
-               for x in C.objects]
-    for objs in product(*choices):
-        for K in enumerate_functors(C, path.path_cat, fixed_obj=dict(zip(C.objects, objs))):
-            if K.then(path.p0) == F and K.then(path.p1) == G:
-                return K
-    return None
 
 
 def eta_to_cylinder_homotopy(eta: NatTransf) -> Functor:
@@ -106,9 +68,10 @@ def naturally_isomorphic(F: Functor, G: Functor) -> NatIsoDecision:
     """Decide F ~= G three independent ways and insist the answers agree."""
     if F.source != G.source or F.target != G.target:
         raise ValueError("parallel functors required")
+    cyl, path = cylinder(F.source), path_object(F.target)
     eta = natural_isos(F, G)
-    H = _cylinder_route(F, G)
-    K = _path_route(F, G)
+    H = next(functors_with(cyl.cyl, F.target, [(cyl.iota0, F), (cyl.iota1, G)], []), None)
+    K = next(functors_with(F.source, path.path_cat, [], [(path.p0, F), (path.p1, G)]), None)
     routes = (eta is not None, H is not None, K is not None)
     decision = NatIsoDecision(found=all(routes), eta=eta, H=H, K=K, routes=routes)
     if not decision.agree:

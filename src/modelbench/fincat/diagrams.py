@@ -440,8 +440,9 @@ def _mor_name(rep_key):
 
 
 def _category_from_closure(Q, reps, ends, path_class):
-    """The category on the class representatives `reps` (in `_rank` order),
-    or None when a composite of two of them is past the horizon."""
+    """The category, named after the quiver Q, on the class representatives
+    `reps` (in `_rank` order), or None when a composite of two of them is
+    past the horizon."""
     name_of = {r: _mor_name(r) for r in reps}
     mors = [(name_of[r], *ends[r]) for r in reps]
     ident = {v: name_of[path_class[(v, ())]] for v in Q.vertices}
@@ -454,7 +455,7 @@ def _category_from_closure(Q, reps, ends, path_class):
             if k not in path_class:
                 return None
             comp[(name_of[r1], name_of[r2])] = name_of[path_class[k]]
-    return FinCat("colim", Q.vertices, mors, ident, comp)
+    return FinCat(Q.name, Q.vertices, mors, ident, comp)
 
 
 def span_shape() -> FinCat:

@@ -3,9 +3,14 @@
 These enumerators are the oracle layer for everything else: lifting search,
 equivalence checks and homotopy decisions all reduce to them.  Results come
 back in a deterministic order (source order x target hom-list order).
+`functors_with` is the one search for functors with prescribed composites
+(w o a = b, p o w = u): mediating maps of pushouts and pullbacks, homotopies
+with given ends, and maps out of a cell stage.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .core import FinCat, Functor, NatTransf, identity_functor
 
@@ -125,6 +130,35 @@ def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None):
 
     assign_objs(0, {})
     return results
+
+
+def functors_with(C: FinCat, D: FinCat, before, after):
+    """Every functor w: C -> D with w o a = b for each (a, b) in `before` and
+    p o w = u for each (p, u) in `after`, in `enumerate_functors` order.
+
+    `before` pins the images it forces (`forced_images`); legs that force
+    two images of one object or morphism leave no w.  `after` pins each
+    object x to the y with p(y) = u(x) for every leg, tried in `product`
+    order over D's object order, which is the order the unpinned search
+    assigns objects in; with no `after` leg an object that `before` does
+    not reach is left to the search.  Each candidate is checked against
+    every leg."""
+    pins = forced_images(before)
+    if pins is None:
+        return
+    fixed_obj, fixed_mor = pins
+    if after:
+        fibres = [[y for y in ([fixed_obj[x]] if x in fixed_obj else D.objects)
+                   if all(p.obj_map[y] == u.obj_map[x] for p, u in after)]
+                  for x in C.objects]
+        object_pins = (dict(zip(C.objects, ys)) for ys in product(*fibres))
+    else:
+        object_pins = [fixed_obj]
+    for objs in object_pins:
+        for w in enumerate_functors(C, D, objs, fixed_mor):
+            if (all(a.then(w) == b for a, b in before)
+                    and all(w.then(p) == u for p, u in after)):
+                yield w
 
 
 def natural_isos(F: Functor, G: Functor) -> NatTransf | None:

@@ -3,8 +3,7 @@ lowers a module constant for its own duration only."""
 
 import pytest
 
-from modelbench.catmodel import CatAmbient, ho_hom, inc0, k2_to_k1
-from modelbench.catmodel.homotopy import _path_route
+from modelbench.catmodel import CatAmbient, ho_hom, inc0, k2_to_k1, path_object
 from modelbench.fincat import (
     CatPresentation,
     Functor,
@@ -18,6 +17,7 @@ from modelbench.fincat import (
     unit_category,
 )
 from modelbench.fincat import diagrams, enumfun
+from modelbench.fincat.enumfun import functors_with
 from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import a2_path_category, full_corpus
 from modelbench.lifting import is_orthogonal
@@ -64,13 +64,18 @@ def test_path_route_and_ho_hom_out_of_budget_raise_never_answer(monkeypatch):
     classes = ho_hom(C, D)
     assert [len(cls) for cls in classes] == [len(fs)]
     F, G = fs[0], fs[-1]
-    K = _path_route(F, G)
+    path = path_object(D)
+    # the path route of naturally_isomorphic: the first K with K.p0 = F and
+    # K.p1 = G
+    path_route = lambda: next(functors_with(C, path.path_cat, [],
+                                            [(path.p0, F), (path.p1, G)]), None)
+    K = path_route()
     assert K is not None
     raised = []
     for budget in range(1, 80):
         monkeypatch.setattr(enumfun, "NODE_BUDGET", budget)
         for run, want in ((lambda: ho_hom(C, D), classes),
-                          (lambda: _path_route(F, G), K)):
+                          (path_route, K)):
             try:
                 got = run()
             except GuardExceeded:

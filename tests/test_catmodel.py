@@ -34,6 +34,7 @@ from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import full_corpus
 from modelbench.fincat.enumfun import (
     find_quasi_inverse,
+    functors_with,
     is_equivalence_structural,
     natural_isos,
 )
@@ -344,12 +345,13 @@ def test_ho_hom_i_i_two_ways():
     classes = ho_hom(I, I)
     # cross-check: functors partition modulo natural isomorphism computed
     # through the cylinder route instead
-    from modelbench.catmodel.homotopy import _cylinder_route
+    cyl = cylinder(I)
     fns = enumerate_functors(I, I)
     classes2 = []
     for F in fns:
         for cls in classes2:
-            if _cylinder_route(cls[0], F) is not None:
+            legs = [(cyl.iota0, cls[0]), (cyl.iota1, F)]
+            if next(functors_with(cyl.cyl, I, legs, []), None) is not None:
                 cls.append(F)
                 break
         else:

@@ -48,6 +48,10 @@ def test_a2_path_category():
     assert PA2.validate().ok
 
 
+def test_saturated_category_is_named_after_its_quiver():
+    assert a2_path_category().name == "A2"
+
+
 def test_empty_quiver_path_category():
     result = saturate(CatPresentation(Quiver("E", [], []), []))
     assert result.total

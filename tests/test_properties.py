@@ -1,11 +1,13 @@
 """Property-based differential tests: the memoized routes of a long-lived
 ambient, and the cylinders and path objects kept on shared categories,
-against the uncached routes on fresh ones; the pinned mediating maps of
-the cylinder pushout check against the scan over every functor out of D';
-`saturate` on integer path ids of the arrow quotient against the closure
-on the (src, arrows) keys of every path that it replaced; and the
-one-reduction linear algebra of `complexes` against the per-vector routes
-it replaced."""
+against the uncached routes on fresh ones; `functors_with` against a
+filtered `enumerate_functors`, and through it the mediating maps of the
+cylinder pushout and cocylinder pullback checks against the scans over
+every functor they replaced, and the maps out of a cell stage against
+fill-by-composition; `saturate` on integer path ids of the arrow quotient
+against the closure on the (src, arrows) keys of every path that it
+replaced; and the one-reduction linear algebra of `complexes` against the
+per-vector routes it replaced."""
 
 import random
 from fractions import Fraction
@@ -16,13 +18,16 @@ from hypothesis import strategies as st
 
 from modelbench.catmodel import (CatAmbient, cylinder, functor_cylinder_factorization, ho_hom,
                                  naturally_isomorphic, path_object)
-from modelbench.catmodel.factor import _mediating_maps, _pushout_homotopy, cylinder_pushout_check
-from modelbench.catmodel.homotopy import _path_route, eta_to_path_homotopy
+from modelbench.catmodel import generating_cofibrations
+from modelbench.catmodel.factor import (_pullback_homotopy, _pushout_homotopy,
+                                       cocylinder_pullback_check, cylinder_pushout_check,
+                                       functor_cocylinder_factorization)
+from modelbench.catmodel.homotopy import eta_to_path_homotopy
 from modelbench.fincat import CatPresentation, FinCat, Functor, diagrams, enumerate_functors
 from modelbench.fincat.diagrams import SaturationResult
 from modelbench.fincat.quivers import Quiver
 from modelbench.fincat.corpus import base_corpus, full_corpus
-from modelbench.fincat.enumfun import natural_isos
+from modelbench.fincat.enumfun import forced_images, functors_with, natural_isos
 from modelbench.complexes import (
     _complement_in,
     coboundaries,
@@ -34,7 +39,7 @@ from modelbench.complexes import (
     section_condition,
 )
 from modelbench.linalg import mat_vec, nullspace, rank, rref, shape, solve, zeros
-from modelbench.lifting import find_retract, is_orthogonal
+from modelbench.lifting import find_retract, is_orthogonal, small_object_factorization
 from test_complexes import random_bounded_chain_map
 
 _CATS = list(base_corpus().values())
@@ -134,7 +139,7 @@ def test_pinned_path_route_matches_unpinned_scan(pair):
     path = path_object(F.target)
     want = next((K for K in enumerate_functors(F.source, path.path_cat)
                  if K.then(path.p0) == F and K.then(path.p1) == G), None)
-    assert _path_route(F, G) == want
+    assert naturally_isomorphic(F, G).K == want
 
 
 # -- cylinder pushout: pinned mediating maps against the unpinned scan -------
@@ -167,12 +172,164 @@ def test_pinned_mediating_maps_match_unpinned_scan():
         H = _pushout_homotopy(F, fac)
         want = ref_pushout_scan(F, fac, H, tests)
         for u, v, mediating in want:
-            assert _mediating_maps(fac, H, u, v) == mediating, F
+            assert list(functors_with(fac.dprime, u.target, [(H, u), (fac.inc, v)], [])) == \
+                mediating, F
         # the check stops at the first cocone without exactly one map
         bad = next((k for k, (_, _, m) in enumerate(want) if len(m) != 1), None)
         res = cylinder_pushout_check(F, tests)
         assert (res.ok, res.cocones_checked) == (
             (True, len(want)) if bad is None else (False, bad + 1)), F
+
+
+def ref_pullback_scan(F, fac, K, tests):
+    """The mediating maps of every cone (u, v), in the order
+    cocylinder_pullback_check visits them, by the scan it replaced: compose
+    every v: T -> Hom(I, D) with p0 and every w: T -> C' with pr1 and K."""
+    p0 = path_object(F.target).p0
+    out = []
+    for T in tests:
+        us = enumerate_functors(T, F.source)
+        vs = enumerate_functors(T, K.target)
+        ws = enumerate_functors(T, fac.cprime)
+        for u in us:
+            uf = u.then(F)
+            for v in vs:
+                if v.then(p0) == uf:
+                    out.append((u, v, [w for w in ws
+                                       if w.then(fac.pr1) == u and w.then(K) == v]))
+    return out
+
+
+def test_pinned_pullback_cones_and_mediating_maps_match_the_scan():
+    tests = [_FULL[n] for n in ("1", "K0", "I")]
+    for F in UNIVERSAL:
+        fac = functor_cocylinder_factorization(F)
+        path = path_object(F.target)
+        K = _pullback_homotopy(F, fac, path)
+        want = ref_pullback_scan(F, fac, K, tests)
+        got = [(u, v, list(functors_with(T, fac.cprime, [], [(fac.pr1, u), (K, v)])))
+               for T in tests for u in enumerate_functors(T, F.source)
+               for v in functors_with(T, path.path_cat, [], [(path.p0, u.then(F))])]
+        assert got == want, F
+        bad = next((k for k, (_, _, m) in enumerate(want) if len(m) != 1), None)
+        res = cocylinder_pullback_check(F, tests)
+        assert (res.ok, res.cocones_checked) == (
+            (True, len(want)) if bad is None else (False, bad + 1)), F
+
+
+# -- functors with prescribed composites against a filtered enumeration -----
+
+HOMS = {}       # source name -> [(target name, functors)] among SMALL
+for (s, t), fs in PARALLEL.items():
+    HOMS.setdefault(s, []).append((t, fs))
+INTO = {}       # target name -> [(source name, functors)] among SMALL
+for (s, t), fs in PARALLEL.items():
+    INTO.setdefault(t, []).append((s, fs))
+
+
+@st.composite
+def prescribed_composites(draw):
+    """A pair of categories C, D among SMALL, and up to two legs w o a = b
+    and up to two legs p o w = u.  A consistent leg is read off one drawn
+    w0: C -> D (b = w0 a, u = p w0), so some w exists; an inconsistent one
+    has its b or u drawn freely, so it mostly conflicts.  Legs out of 0 or
+    1 leave objects of C that no `before` leg reaches."""
+    (c, d) = draw(st.sampled_from(sorted(PARALLEL)))
+    w0 = draw(st.sampled_from(PARALLEL[(c, d)]))
+    consistent = draw(st.booleans())
+    before, after = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        a_src, fs = draw(st.sampled_from(INTO[c]))
+        a = draw(st.sampled_from(fs))
+        b = (a.then(w0) if consistent or (a_src, d) not in PARALLEL
+             else draw(st.sampled_from(PARALLEL[(a_src, d)])))
+        before.append((a, b))
+    for _ in range(draw(st.integers(0, 2))):
+        e, fs = draw(st.sampled_from(HOMS[d]))
+        p = draw(st.sampled_from(fs))
+        u = (w0.then(p) if consistent or (c, e) not in PARALLEL
+             else draw(st.sampled_from(PARALLEL[(c, e)])))
+        after.append((p, u))
+    return _FULL[c], _FULL[d], before, after
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(prescribed_composites())
+def test_functors_with_matches_filtered_enumeration(case):
+    C, D, before, after = case
+    want = [w for w in enumerate_functors(C, D)
+            if all(a.then(w) == b for a, b in before)
+            and all(w.then(p) == u for p, u in after)]
+    assert list(functors_with(C, D, before, after)) == want
+
+
+# -- maps out of a cell stage: one pinned search against fill-by-composition -
+
+def ref_induced_from_cells(stage, f, bottoms):
+    """The fill-by-composition map that the pinned search replaced: pin what
+    the legs force, then compose pinned morphisms until every morphism of the
+    pushout has an image.  It builds the map without validating it."""
+    target = f.target
+    pins = forced_images([(stage.inclusion, f)] + list(zip(stage.cell_maps, bottoms)))
+    if pins is None:
+        raise ValueError("incompatible cell bottoms")
+    obj_map, mor_map = pins
+    P = stage.result
+    missing_obj = [x for x in P.objects if x not in obj_map]
+    if missing_obj:
+        raise ValueError(f"pushout object not covered by legs: {missing_obj}")
+    changed = True
+    while changed and len(mor_map) < len(P.morphisms):
+        changed = False
+        for (g, f1), h in P.compose_table.items():
+            if h not in mor_map and g in mor_map and f1 in mor_map:
+                mor_map[h] = target.compose(mor_map[g], mor_map[f1])
+                changed = True
+    if len(mor_map) < len(P.morphisms):
+        raise ValueError("pushout morphism not generated by the legs")
+    return Functor(f"{f.name}'", P, target, obj_map, mor_map)
+
+
+class RecordingAmbient(CatAmbient):
+    """A CatAmbient that keeps the arguments of every induced_from_cells."""
+
+    def __init__(self):
+        super().__init__()
+        self.induced = []
+
+    def induced_from_cells(self, stage, f, bottoms):
+        self.induced.append((stage, f, list(bottoms)))
+        return super().induced_from_cells(stage, f, bottoms)
+
+
+def test_induced_from_cells_matches_fill_by_composition():
+    # every stage the cells workload's 12 factorizations reach; the three
+    # into I raise at stage 2, after their first stage is induced
+    cats = base_corpus()
+    gens = generating_cofibrations()
+    functors = [F for a in ("0", "1") for b in ("0", "1", "K0", "K1", "I")
+                for F in enumerate_functors(cats[a], cats[b])]
+    assert len(functors) == 12
+    a = RecordingAmbient()
+    for F in functors:
+        try:
+            small_object_factorization(a, gens, F, max_stages=3)
+        except ValueError:
+            pass
+    incompatible = 0
+    for stage, f, bottoms in a.induced:
+        got = CatAmbient().induced_from_cells(stage, f, bottoms)
+        assert got == ref_induced_from_cells(stage, f, bottoms)
+        assert got.validate().ok
+        # a bottom whose square does not commute leaves no map
+        for k, (gen, att) in enumerate(zip(stage.generators, stage.attachments)):
+            for b in enumerate_functors(gen.target, f.target):
+                if gen.then(b) != att.then(f):
+                    wrong = bottoms[:k] + [b] + bottoms[k + 1:]
+                    with pytest.raises(ValueError):
+                        CatAmbient().induced_from_cells(stage, f, wrong)
+                    incompatible += 1
+    assert len(a.induced) > 12 and incompatible > 0
 
 
 # -- saturation: integer path ids against the tuple-keyed closure -----------
