@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..fincat import FinCat, Functor, enumerate_functors, free_category
 from ..fincat.core import identity_functor
 from ..fincat.diagrams import CatDiagram, colimit
-from ..fincat.enumfun import forced_images, functors_with
+from ..fincat.enumfun import functors_with
 from ..lifting.search import (OrthogonalityResult, enumerate_squares, find_lifting,
                               is_orthogonal)
 
@@ -52,10 +52,8 @@ class CatAmbient:
     def lift_candidates(self, square):
         """Functors h: cod(left) -> dom(right) with h o left = top, found by
         pinning the images forced on the left leg's image."""
-        pins = forced_images([(square.left, square.top)])
-        if pins is None:
-            return []
-        return enumerate_functors(square.left.target, square.right.source, *pins)
+        return list(functors_with(square.left.target, square.right.source,
+                                  [(square.left, square.top)], []))
 
     # -- bounded colimits -------------------------------------------------
 

@@ -1,5 +1,10 @@
-"""The four structural test functors: the generating cofibrations of the
-natural model structure and the interval inclusion detecting isofibrations."""
+"""The four structural test functors of the natural model structure.
+
+I = {0 -> 1, K0 -> K1, K2 -> K1} (`generating_cofibrations`) generates the
+cofibrations: I-perp is the acyclic fibrations.  J = {inc0: 1 -> I}
+generates the acyclic cofibrations: J-perp is the isofibrations, so `inc0`
+detects them and the small object argument with J factors any functor as an
+acyclic injection followed by an isofibration."""
 
 from __future__ import annotations
 

@@ -5,6 +5,11 @@ window [lo, hi]; pieces outside the window are zero (the constructor rejects
 nonzero ones), so every rank statement below is exact.  Degrees lo and hi
 are still flagged on cohomology output: when the data is a truncation of
 something larger those slices are not trustworthy.
+
+Only what a criterion reads is built: `cone` returns the cone's complex,
+whose differential is all that `is_quasi_iso` reads, and each cohomology
+slice carries the cocycle and coboundary bases it was reduced from, so
+`cohomology_map` reduces nothing twice.
 """
 
 from __future__ import annotations
@@ -152,6 +157,8 @@ class CohomologySlice:
     h_dim: int
     representatives: list      # basis vectors of a complement of B in Z
     boundary_degree: bool      # slice sits at the window boundary
+    cocycles: list             # basis of Z^n, one vector per free column of d^n
+    coboundaries: list         # basis of B^n, the pivot columns of d^(n-1)
 
 
 def cocycles(X: Complex, n: int) -> list[Vec]:
@@ -185,17 +192,21 @@ def cohomology(X: Complex, n: int) -> CohomologySlice:
         raise ValueError(f"degree {n} outside window {X.window}")
     z = cocycles(X, n)
     b = coboundaries(X, n)
-    reps = _complement_in(z, b, X.dim(n))
+    # B lies in Z, so equal dimensions leave no complement to reduce for
     return CohomologySlice(
         degree=n, h_dim=len(z) - len(b),
-        representatives=reps, boundary_degree=n in (X.lo, X.hi))
+        representatives=_complement_in(z, b, X.dim(n)) if len(z) > len(b) else [],
+        boundary_degree=n in (X.lo, X.hi), cocycles=z, coboundaries=b)
 
 
-def cohomology_map(f: ChainMap, n: int) -> Mat:
-    """Matrix of H^n(f) in the representative bases of source and target."""
-    sx = cohomology(f.source, n)
-    sy = cohomology(f.target, n)
-    by = coboundaries(f.target, n)
+def cohomology_map(f: ChainMap, sx: CohomologySlice, sy: CohomologySlice) -> Mat:
+    """Matrix of H^n(f) in the representative bases of the slices sx of
+    f.source and sy of f.target at one degree n, from one solve against
+    the coboundaries and representatives of sy."""
+    if sx.degree != sy.degree:
+        raise ValueError(f"slices of degrees {sx.degree} and {sy.degree}")
+    n = sx.degree
+    by = sy.coboundaries
     basis = [list(v) for v in by] + [list(v) for v in sy.representatives]
     imgs = [f.apply(n, z) for z in sx.representatives]
     if not basis:
@@ -216,19 +227,12 @@ def cohomology_map(f: ChainMap, n: int) -> Mat:
     return h
 
 
-# -- suspension and cones ---------------------------------------------------
+# -- cones --------------------------------------------------------------------
 
 
-def suspension(X: Complex) -> Complex:
-    """Sigma(X)^n = X^{n+1} with negated differential."""
-    dims = {n - 1: k for n, k in X.dims.items()}
-    d = {n - 1: [[-x for x in row] for row in m] for n, m in X.d.items()}
-    return Complex((X.lo - 1, X.hi - 1), dims, d, name=f"S({X.name})")
-
-
-def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
-    """Cone(f) = Y + Sigma(X) with differential [[d_Y, f xi^{-1}], [0, -d_X]];
-    returns (cone, inclusion of Y, projection to Sigma X)."""
+def cone(f: ChainMap) -> Complex:
+    """Cone(f) = Y + Sigma(X), where Sigma(X)^n = X^{n+1}, with differential
+    [[d_Y, f^{n+1}], [0, -d_X]]; checked for d^2 = 0."""
     X, Y = f.source, f.target
     lo, hi = Y.lo - 1, Y.hi
     dims = {}
@@ -256,28 +260,7 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
     ok, failures = C.validate()
     if not ok:
         raise AssertionError(f"cone differential fails d^2 = 0: {failures}")
-    # canonical maps use the cone's window
-    incl_comps = {}
-    proj_comps = {}
-    for n in range(lo, hi + 1):
-        m = zeros(dims.get(n, 0), Y.dim(n))
-        for i in range(Y.dim(n)):
-            m[i][i] = Fraction(1)
-        incl_comps[n] = m
-        p = zeros(X.dim(n + 1), dims.get(n, 0))
-        for i in range(X.dim(n + 1)):
-            p[i][Y.dim(n) + i] = Fraction(1)
-        proj_comps[n] = p
-    y_wide = Complex((lo, hi), dict(Y.dims), dict(Y.d), name=Y.name)
-    sx = suspension(X)
-    sx_wide = Complex((lo, hi), dict(sx.dims), dict(sx.d), name=sx.name)
-    inclusion = ChainMap(y_wide, C, incl_comps, name="inc")
-    projection = ChainMap(C, sx_wide, proj_comps, name="proj")
-    oki, _ = inclusion.validate()
-    okp, _ = projection.validate()
-    if not (oki and okp):
-        raise AssertionError("canonical cone maps fail to be chain maps")
-    return C, inclusion, projection
+    return C
 
 
 # -- surjective quasi-isomorphism criteria ----------------------------------
@@ -291,10 +274,11 @@ def is_surjective(f: ChainMap) -> bool:
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    """Quasi-isomorphism via cone acyclicity in every degree, from
-    h^n(C) = dim C^n - rank d^n - rank d^(n-1).  Each cone differential is
-    ranked once, in degree order, stopping at the first nonzero h^n."""
-    C, _, _ = cone(f)
+    """Quasi-isomorphism via acyclicity of C = cone(f) in every degree, from
+    h^n(C) = dim C^n - rank d^n - rank d^(n-1).  Only the cone's differential
+    is read: each d^n is ranked once, in degree order, stopping at the first
+    nonzero h^n."""
+    C = cone(f)
     rank_prev = 0           # the complex vanishes outside its window
     for n in C.degrees():
         rank_n = rank(C.d[n]) if n in C.d else 0
@@ -355,19 +339,17 @@ def surj_quas_criteria(f: ChainMap) -> SurjQuasReport:
     c2 = True
     c2_fail = None
     for n in X.degrees():
-        zy = cocycles(Y, n)
-        zx = cocycles(X, n)
-        if zy:
-            imgs = [f.apply(n, v) for v in zx]
+        sx, sy = cohomology(X, n), cohomology(Y, n)
+        if sy.cocycles:
+            imgs = [f.apply(n, v) for v in sx.cocycles]
             m = [[imgs[j][i] for j in range(len(imgs))] for i in range(Y.dim(n))]
-            if rank(m) < len(zy):
+            if rank(m) < len(sy.cocycles):
                 c2 = False
                 c2_fail = ("Z-surjectivity", n)
                 break
-        hx = len(zx) - len(coboundaries(X, n))
-        if hx:
-            h = cohomology_map(f, n)
-            injective = bool(h) and len(h[0]) == hx and not nullspace(h)
+        if sx.h_dim:
+            h = cohomology_map(f, sx, sy)
+            injective = bool(h) and len(h[0]) == sx.h_dim and not nullspace(h)
             if not injective:
                 c2 = False
                 c2_fail = ("H-injectivity", n)
@@ -385,27 +367,3 @@ def surj_quas_criteria(f: ChainMap) -> SurjQuasReport:
     return SurjQuasReport(c1, c2, c3,
                           {"c2_failure": c2_fail, "c3_failure": c3_fail})
 
-
-def solve_section(f: ChainMap, n: int, x: Vec, y: Vec):
-    """x' with d(x') = x and f(x') = y, or None with a rank certificate."""
-    X, Y = f.source, f.target
-    if len(x) != X.dim(n + 1) or len(y) != Y.dim(n):
-        raise ValueError("wrong vector lengths for solve_section")
-    if any(mat_vec(X.diff(n + 1), x)):
-        raise ValueError("x is not a cocycle")
-    if f.apply(n + 1, x) != mat_vec(Y.diff(n), y):
-        raise ValueError("f(x) != d(y)")
-    rows = []
-    for i in range(X.dim(n + 1)):
-        rows.append([X.diff(n)[i][j] for j in range(X.dim(n))])
-    for i in range(Y.dim(n)):
-        rows.append([f.component(n)[i][j] for j in range(X.dim(n))])
-    if not rows:
-        # no equations: solve cannot see the width of X^n
-        return [Fraction(0)] * X.dim(n), None
-    rhs = list(x) + list(y)
-    sol, = solve(rows, [rhs])
-    if sol is None:
-        aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-        return None, {"rank": rank(rows), "rank_augmented": rank(aug)}
-    return sol, None

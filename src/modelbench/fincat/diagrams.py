@@ -157,7 +157,9 @@ class SaturationResult:
     class_count: int
     explored_len: int                # the last horizon whose closure completed
     class_reps: list = field(default_factory=list)
-    path_class: dict = field(default_factory=dict)   # path key -> class rep key
+    # path key -> class rep key, for every path of the quiver; only a
+    # "total" result builds it, a census reports the class reps alone
+    path_class: dict = field(default_factory=dict)
 
     @property
     def total(self):
@@ -399,10 +401,11 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
 
     The closure runs on integer path ids of the arrow quotient, and the
     paths of the quiver within a horizon are counted against PATH_BUDGET
-    before any is built.  Paths become (src, arrows) keys only for a census
-    or a category attempt, where `path_class` maps every path of the quiver
-    through the quotient; a horizon that does not stabilize needs only the
-    roots of its classes.
+    before any is built.  Class roots become (src, arrows) keys only for a
+    census or a category attempt, and only a category attempt maps every
+    path of the quiver through the quotient into `path_class`; a census
+    reports the class reps alone, and a horizon that does not stabilize
+    needs only the roots of its classes.
     """
     min_len = max([2] + [len(p[1]) for rel in pres.relations for p in rel])
     lengths = [fixed_len] if fixed_len is not None else list(range(min_len, max_len + 1))
@@ -421,10 +424,9 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
         if fixed_len is not None or (M <= L - 1 and 2 * M <= L):
             rep_key = {r: closed.key(r) for r in roots}
             reps = sorted(rep_key.values(), key=_rank)
-            path_class = {k: rep_key[_find(closed.parent, p)] for k, p in closed.lifts()}
             if fixed_len is not None:
-                return SaturationResult("census", None, count, L,
-                                        class_reps=reps, path_class=path_class)
+                return SaturationResult("census", None, count, L, class_reps=reps)
+            path_class = {k: rep_key[_find(closed.parent, p)] for k, p in closed.lifts()}
             ends = {rep_key[r]: (closed.vertices[closed.src[r]], closed.vertices[closed.tgt[r]])
                     for r in roots}
             cat = _category_from_closure(pres.quiver, reps, ends, path_class)

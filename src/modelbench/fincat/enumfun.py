@@ -137,12 +137,13 @@ def functors_with(C: FinCat, D: FinCat, before, after):
     p o w = u for each (p, u) in `after`, in `enumerate_functors` order.
 
     `before` pins the images it forces (`forced_images`); legs that force
-    two images of one object or morphism leave no w.  `after` pins each
+    two images of one object or morphism leave no w.  The search honours
+    pins exactly, so every candidate has w o a = b.  `after` pins each
     object x to the y with p(y) = u(x) for every leg, tried in `product`
     order over D's object order, which is the order the unpinned search
     assigns objects in; with no `after` leg an object that `before` does
-    not reach is left to the search.  Each candidate is checked against
-    every leg."""
+    not reach is left to the search.  Those pins fix objects only, so each
+    candidate is checked against every `after` leg."""
     pins = forced_images(before)
     if pins is None:
         return
@@ -156,8 +157,7 @@ def functors_with(C: FinCat, D: FinCat, before, after):
         object_pins = [fixed_obj]
     for objs in object_pins:
         for w in enumerate_functors(C, D, objs, fixed_mor):
-            if (all(a.then(w) == b for a, b in before)
-                    and all(w.then(p) == u for p, u in after)):
+            if all(w.then(p) == u for p, u in after):
                 yield w
 
 

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import modelbench
@@ -32,3 +34,31 @@ def test_every_exported_name_resolves():
                 missing.append(f"{name}.{attr}")
     assert exported > 0
     assert missing == []
+
+
+# Defaulted parameters plus dataclass field defaults in src/modelbench.  A
+# change that adds a knob raises this number in its own diff.
+MAX_OPTIONS = 28
+
+
+def _is_dataclass(node):
+    return any((isinstance(d, ast.Name) and d.id == "dataclass")
+               or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+               for d in node.decorator_list)
+
+
+def _option_count(root):
+    count = 0
+    for path in sorted(pathlib.Path(root).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
+
+
+def test_option_count_does_not_grow():
+    assert _option_count(modelbench.__path__[0]) <= MAX_OPTIONS

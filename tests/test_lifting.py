@@ -22,6 +22,7 @@ from modelbench.fincat import (
     unit_category,
 )
 from modelbench.fincat import diagrams
+from modelbench.fincat.corpus import base_corpus
 from modelbench.fincat.core import identity_functor
 from modelbench.lifting import (
     ModelTriple,
@@ -250,6 +251,42 @@ def test_stage_two_cell_pushout_saturation_at_the_default_budget(monkeypatch, so
     results = stage_saturations(monkeypatch, source, index)
     assert [(r.status, r.class_count, r.explored_len) for r in results] == [
         ("total", 2, 2), ("possibly_infinite", 14, 6)]
+
+
+# -- the small object argument with J = {inc0} --------------------------------
+
+AXIOMS_CATS = ["0", "1", "K0", "K1", "I", "K2", "PA2"]
+
+
+def axioms_corpus():
+    """The 105 functors among the seven categories of the axioms corpus."""
+    cats = base_corpus()
+    return [F for a in AXIOMS_CATS for b in AXIOMS_CATS
+            for F in enumerate_functors(cats[a], cats[b])]
+
+
+def test_small_object_factorization_with_j_factors_every_corpus_functor():
+    # each J-cell freely adds an iso to an object, so every pushout stays
+    # finite; the result is an (acyclic cofibration, fibration) factorization
+    # found independently of the functor cocylinder F = q o iota, and the
+    # two are compared through the lift h of the square from iota to p with
+    # top i and bottom q, an equivalence by two out of three
+    corpus = axioms_corpus()
+    assert len(corpus) == 105
+    stages = []
+    for F in corpus:
+        amb = CatAmbient()
+        res = small_object_factorization(amb, [inc0()], F, max_stages=3)
+        assert res.status == "factored", F
+        stages.append(res.stages_used)
+        assert amb.equal(amb.compose(res.p, res.i), F), F
+        assert classify(res.i).acyclic_injection, F
+        assert classify(res.p).isofibration, F
+        fac = functor_cocylinder_factorization(F)
+        lift = find_lifting(Square(amb, fac.iota, res.p, res.i, fac.q))
+        assert lift is not None and lift.verify(), F
+        assert classify(lift.h).equivalence, F
+    assert (stages.count(0), stages.count(1)) == (85, 20)
 
 
 # -- memoized classification, orthogonality and section pairs ---------------
