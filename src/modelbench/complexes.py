@@ -190,7 +190,11 @@ def _complement_in(space_basis, sub_basis, dim):
 def cohomology(X: Complex, n: int) -> CohomologySlice:
     if not (X.lo <= n <= X.hi):
         raise ValueError(f"degree {n} outside window {X.window}")
-    z = cocycles(X, n)
+    return _slice(X, n, cocycles(X, n))
+
+
+def _slice(X: Complex, n: int, z: list[Vec]) -> CohomologySlice:
+    """The degree-n slice of X around its cocycle basis z = cocycles(X, n)."""
     b = coboundaries(X, n)
     # B lies in Z, so equal dimensions leave no complement to reduce for
     return CohomologySlice(
@@ -240,22 +244,10 @@ def cone(f: ChainMap) -> Complex:
         dims[n] = Y.dim(n) + X.dim(n + 1)
     d = {}
     for n in range(lo, hi):
-        rows = dims.get(n + 1, 0)
-        cols = dims.get(n, 0)
-        m = zeros(rows, cols)
-        dy = Y.diff(n)
-        for i in range(Y.dim(n + 1)):
-            for j in range(Y.dim(n)):
-                m[i][j] = dy[i][j]
-        fc = f.component(n + 1)
-        for i in range(Y.dim(n + 1)):
-            for j in range(X.dim(n + 1)):
-                m[i][Y.dim(n) + j] = fc[i][j]
-        dx = X.diff(n + 1)
-        for i in range(X.dim(n + 2)):
-            for j in range(X.dim(n + 1)):
-                m[Y.dim(n + 1) + i][Y.dim(n) + j] = -dx[i][j]
-        d[n] = m
+        dy, fc, dx = Y.diff(n), f.component(n + 1), X.diff(n + 1)
+        pad = [Fraction(0)] * Y.dim(n)
+        d[n] = ([dy[i] + fc[i] for i in range(Y.dim(n + 1))]
+                + [pad + [-x for x in dx[i]] for i in range(X.dim(n + 2))])
     C = Complex((lo, hi), dims, d, name=f"Cone({f.name})")
     ok, failures = C.validate()
     if not ok:
@@ -297,22 +289,16 @@ def section_condition(f: ChainMap, n: int) -> tuple[bool, dict]:
     fn1 = f.component(n + 1)
     dyn = Y.diff(n)
     # pairs (x, y): d x = 0 and f x - d y = 0
-    rows = []
     dimx, dimy = X.dim(n + 1), Y.dim(n)
-    for i in range(X.dim(n + 2)):
-        rows.append([dn1[i][j] for j in range(dimx)] + [Fraction(0)] * dimy)
-    for i in range(Y.dim(n + 1)):
-        rows.append([fn1[i][j] for j in range(dimx)]
-                    + [-dyn[i][j] for j in range(dimy)])
+    pad = [Fraction(0)] * dimy
+    rows = ([dn1[i][:dimx] + pad for i in range(X.dim(n + 2))]
+            + [fn1[i][:dimx] + [-x for x in dyn[i][:dimy]] for i in range(Y.dim(n + 1))])
     if not rows and (dimx + dimy):
         rows = [[Fraction(0)] * (dimx + dimy)]
     pairs = nullspace(rows) if (dimx + dimy) else []
     # image of x' -> (d x', f x')
-    span_rows = []
-    for i in range(dimx):
-        span_rows.append([X.diff(n)[i][j] for j in range(X.dim(n))])
-    for i in range(dimy):
-        span_rows.append([f.component(n)[i][j] for j in range(X.dim(n))])
+    dn, fn, w = X.diff(n), f.component(n), X.dim(n)
+    span_rows = [dn[i][:w] for i in range(dimx)] + [fn[i][:w] for i in range(dimy)]
     unsolved = [v for v, x in zip(pairs, solve(span_rows, pairs)) if x is None]
     return (not unsolved, {"pairs": len(pairs), "unsolved": unsolved})
 
@@ -339,16 +325,17 @@ def surj_quas_criteria(f: ChainMap) -> SurjQuasReport:
     c2 = True
     c2_fail = None
     for n in X.degrees():
-        sx, sy = cohomology(X, n), cohomology(Y, n)
-        if sy.cocycles:
+        sx, zy = cohomology(X, n), cocycles(Y, n)
+        if zy:
             imgs = [f.apply(n, v) for v in sx.cocycles]
             m = [[imgs[j][i] for j in range(len(imgs))] for i in range(Y.dim(n))]
-            if rank(m) < len(sy.cocycles):
+            if rank(m) < len(zy):
                 c2 = False
                 c2_fail = ("Z-surjectivity", n)
                 break
         if sx.h_dim:
-            h = cohomology_map(f, sx, sy)
+            # Y's coboundaries and complement are read only here
+            h = cohomology_map(f, sx, _slice(Y, n, zy))
             injective = bool(h) and len(h[0]) == sx.h_dim and not nullspace(h)
             if not injective:
                 c2 = False

@@ -6,14 +6,24 @@ pivots are chosen left to right, candidate rows top to bottom.  `rref` is
 the only reduction; callers with several questions about one matrix ask them
 in one call (`solve` takes every right-hand side at once) so the matrix is
 reduced once, not once per vector.
+
+`rref` eliminates fraction-free over Python ints (Bareiss 1968, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+22): each row is cleared of denominators, every update is divided exactly by
+the previous pivot, and the result is divided by one common pivot at the end.
+So a Fraction, with its gcd, is built once per nonzero entry of the answer,
+not after every arithmetic operation.  Every answer entry is a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+
+_ZERO = Fraction(0)     # Fractions are immutable, so `rref` shares this one
 
 
 def frac(x) -> Fraction:
@@ -65,27 +75,49 @@ def transpose(a: Mat) -> Mat:
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
+    """Reduced row echelon form; returns (rref, pivot column indices).
+
+    Fraction-free Gauss-Jordan: each row is scaled by the lcm of its
+    denominators, then with p the new pivot, prev the one before it (1 at
+    first) and c a row's entry in the pivot column, every other row becomes
+    (p*row - c*pivot_row) // prev.  By Sylvester's identity each entry is then
+    a minor of the scaled matrix, so the division is exact.  A reduced row's
+    pivot entry follows p, so at the end every pivot entry equals the last
+    pivot d and the answer is the integer matrix divided by d.  The reduced
+    row echelon form is unique, so this is the matrix that Fraction
+    elimination gives, with the same pivots."""
     m, n = shape(a)
-    r = [row[:] for row in a]
+    r = []
+    for xs in a:
+        den = lcm(*[x.denominator for x in xs])
+        r.append([x.numerator * (den // x.denominator) for x in xs] if den != 1
+                 else [x.numerator for x in xs])
     pivots: list[int] = []
+    prev = 1
     row = 0
     for col in range(n):
-        sel = next((i for i in range(row, m) if r[i][col]), None)
-        if sel is None:
+        for sel in range(row, m):
+            if r[sel][col]:
+                break
+        else:
             continue
         r[row], r[sel] = r[sel], r[row]
-        inv = Fraction(1) / r[row][col]
-        r[row] = [x * inv for x in r[row]]
-        for i in range(m):
-            if i != row and r[i][col]:
-                c = r[i][col]
-                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
+        prow = r[row]
+        p = prow[col]
+        for i, ri in enumerate(r):
+            if i == row:
+                continue
+            c = ri[col]
+            if c:
+                r[i] = [(p * x - c * y) // prev for x, y in zip(ri, prow)]
+            elif p != prev:
+                r[i] = [p * x // prev for x in ri]
+        prev = p
         pivots.append(col)
         row += 1
         if row == m:
             break
-    return r, pivots
+    return [[Fraction(x, prev) if x else _ZERO for x in ri] for ri in r], pivots
 
 
 def rank(a: Mat) -> int:

@@ -6,8 +6,9 @@ cylinder pushout and cocylinder pullback checks against the scans over
 every functor they replaced, and the maps out of a cell stage against
 fill-by-composition; `saturate` on integer path ids of the arrow quotient
 against the closure on the (src, arrows) keys of every path that it
-replaced; and the one-reduction linear algebra of `complexes` against the
-per-vector routes it replaced."""
+replaced; the one-reduction linear algebra of `complexes` against the
+per-vector routes it replaced; and the fraction-free `rref`, with every
+reading taken from it, against Fraction Gauss-Jordan elimination."""
 
 import random
 from fractions import Fraction
@@ -38,7 +39,8 @@ from modelbench.complexes import (
     is_quasi_iso,
     section_condition,
 )
-from modelbench.linalg import mat_vec, nullspace, rank, rref, shape, solve, zeros
+from modelbench.linalg import (column_space_basis, mat_vec, nullspace, rank, rref, shape, solve,
+                               transpose, zeros)
 from modelbench.lifting import find_retract, is_orthogonal, small_object_factorization
 from test_complexes import random_bounded_chain_map
 
@@ -509,6 +511,81 @@ def test_saturate_matches_tuple_keyed_closure(pres, k):
                 same_saturation(diagrams.saturate(pres, **kwargs), ref_saturate(pres, **kwargs))
 
 
+# -- linalg: fraction-free rref against Fraction Gauss-Jordan ----------------
+
+def ref_rref(a):
+    """Gauss-Jordan elimination in Fraction arithmetic, which the
+    fraction-free `rref` replaced: the same pivot choice, with every row
+    normalized at its pivot and every other row cleared by it."""
+    m, n = shape(a)
+    r = [row[:] for row in a]
+    pivots = []
+    row = 0
+    for col in range(n):
+        sel = next((i for i in range(row, m) if r[i][col]), None)
+        if sel is None:
+            continue
+        r[row], r[sel] = r[sel], r[row]
+        inv = Fraction(1) / r[row][col]
+        r[row] = [x * inv for x in r[row]]
+        for i in range(m):
+            if i != row and r[i][col]:
+                c = r[i][col]
+                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return r, pivots
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 6 x 7, no rows included, with integer and non-integer entries,
+    columns that are zero throughout, and rows that are zero or a
+    combination of two earlier rows."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    a = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            row = [Fraction(0)] * n
+        elif kind == "combination" and a:
+            u, v = draw(st.sampled_from(a)), draw(st.sampled_from(a))
+            c, e = draw(entry), draw(entry)
+            row = [c * x + e * y for x, y in zip(u, v)]
+        else:
+            row = [Fraction(0) if j in zero_cols else draw(entry) for j in range(n)]
+        a.append(row)
+    return a
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_fraction_free_rref_matches_fraction_gauss_jordan(a):
+    assert rref(a) == ref_rref(a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_rank_nullspace_and_column_space_match_their_ref_rref_readings(a):
+    r, pivots = ref_rref(a)
+    n = shape(a)[1]
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[j] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][j]
+        basis.append(v)
+    assert rank(a) == len(pivots)
+    assert nullspace(a) == basis
+    assert column_space_basis(a) == [transpose(a)[j] for j in pivots]
+
+
 # -- complexes: one reduction per matrix against one per vector -------------
 
 def ref_solve(a, b):
@@ -519,7 +596,7 @@ def ref_solve(a, b):
     aug = [a[i][:] + [b[i]] for i in range(m)] if m else []
     if m == 0:
         return [Fraction(0)] * n
-    r, pivots = rref(aug)
+    r, pivots = ref_rref(aug)
     if n in pivots:
         return None
     x = [Fraction(0)] * n
