@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from ..fincat import FinCat, Functor, enumerate_functors
 from ..fincat.build import _pair, induced_category, induced_mor
 from ..fincat.enumfun import functors_with
-from .classify import FunctorClassification, classify
+from .classify import classify
 from .interval import cylinder, path_object, _iso_triples, _triple
 
 
@@ -22,8 +22,6 @@ class CylinderFactorization:
     j: Functor             # C -> D', an injection
     p: Functor             # D' -> D, an acyclic isofibration
     inc: Functor           # D -> D', the full inclusion of the target copy
-    j_class: FunctorClassification
-    p_class: FunctorClassification
 
 
 def functor_cylinder_factorization(F: Functor) -> CylinderFactorization:
@@ -46,14 +44,13 @@ def functor_cylinder_factorization(F: Functor) -> CylinderFactorization:
     inc = Functor("inc", D, dprime,
                   {y: tgt[y] for y in D.objects},
                   {m: induced_mor(tgt[D.dom[m]], tgt[D.cod[m]], m) for m in D.morphism_ids})
-    out = CylinderFactorization(F, dprime, j, p, inc, classify(j), classify(p))
     if j.then(p) != F:
         raise AssertionError("cylinder factorization does not recompose to F")
-    if not out.j_class.injection:
+    if not classify(j).injection:
         raise AssertionError("j is not an injection")
-    if not out.p_class.acyclic_isofibration:
+    if not classify(p).acyclic_isofibration:
         raise AssertionError("p is not an acyclic isofibration")
-    return out
+    return CylinderFactorization(F, dprime, j, p, inc)
 
 
 @dataclass
@@ -67,29 +64,17 @@ class CocylinderFactorization:
     q: Functor             # C' -> D, an isofibration
     pr1: Functor           # C' -> C
     triple_data: dict
-    iota_class: FunctorClassification
-    q_class: FunctorClassification
 
 
 def functor_cocylinder_factorization(F: Functor) -> CocylinderFactorization:
-    C, D = F.source, F.target
-    cprime, data, under, image = _iso_triples(F, f"cocyl({F.name})")
-    iota_obj = {c: _triple(c, D.identity[F.obj_map[c]], F.obj_map[c]) for c in C.objects}
-    iota = Functor("iota", C, cprime, iota_obj,
-                   {m: induced_mor(iota_obj[C.dom[m]], iota_obj[C.cod[m]], m)
-                    for m in C.morphism_ids})
-    q = Functor("q", cprime, D, {t: data[t][2] for t in data}, image)
-    pr1 = Functor("pr1", cprime, C,
-                  {t: data[t][0] for t in data}, under)
-    out = CocylinderFactorization(F, cprime, iota, q, pr1, data,
-                                  classify(iota), classify(q))
+    cprime, data, iota, pr1, q = _iso_triples(F, f"cocyl({F.name})")
     if iota.then(q) != F:
         raise AssertionError("cocylinder factorization does not recompose to F")
-    if not out.iota_class.acyclic_injection:
+    if not classify(iota).acyclic_injection:
         raise AssertionError("iota is not an acyclic injection")
-    if not out.q_class.isofibration:
+    if not classify(q).isofibration:
         raise AssertionError("q is not an isofibration")
-    return out
+    return CocylinderFactorization(F, cprime, iota, q, pr1, data)
 
 
 @dataclass

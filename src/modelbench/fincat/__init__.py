@@ -13,7 +13,6 @@ from .enumfun import (
     enumerate_functors,
     natural_isos,
     find_category_isomorphism,
-    is_equivalence_structural,
     find_quasi_inverse,
 )
 from .quivers import Quiver
@@ -24,8 +23,7 @@ __all__ = [
     "empty_category", "unit_category", "free_category", "k_category",
     "interval_category", "product", "coproduct",
     "GuardExceeded", "enumerate_functors", "natural_isos",
-    "find_category_isomorphism", "is_equivalence_structural",
-    "find_quasi_inverse",
+    "find_category_isomorphism", "find_quasi_inverse",
     "Quiver",
     "CatDiagram", "CatPresentation", "colimit_presentation", "saturate",
 ]

@@ -86,38 +86,22 @@ def colimit_presentation(D: CatDiagram) -> CatPresentation:
     node morphisms over object classes; relations collapse node composition,
     node identities and edge transport."""
     shape = D.shape
-    # object classes: union-find over tagged objects
+    # object classes: union-find over the indices of the tagged objects,
+    # each class rooted at its earliest tag
     tags = [(i, x) for i in shape.objects for x in D.nodes[i].objects]
-    parent = {t: t for t in tags}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # deterministic: keep the earlier tag
-            if tags.index(rb) < tags.index(ra):
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    tix = {t: k for k, t in enumerate(tags)}
+    parent = list(range(len(tags)))
     for (m, d, c) in shape.morphisms:
         F = D.edges[m]
         for x in D.nodes[d].objects:
-            union((d, x), (c, F.obj_map[x]))
+            ra, rb = _find(parent, tix[(d, x)]), _find(parent, tix[(c, F.obj_map[x])])
+            parent[max(ra, rb)] = min(ra, rb)
 
     def cls(i, x):
-        r = find((i, x))
+        r = tags[_find(parent, tix[(i, x)])]
         return f"[{r[0]}/{r[1]}]"
 
-    vertices = []
-    for t in tags:
-        v = cls(*t)
-        if v not in vertices:
-            vertices.append(v)
+    vertices = list(dict.fromkeys(cls(*t) for t in tags))
 
     arrows = []
     arrow_tag = {}
@@ -421,7 +405,8 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
         if count > CLASS_BUDGET:
             return SaturationResult("possibly_infinite", None, count, L)
         M = max((closed.length[r] for r in roots), default=0)
-        if fixed_len is not None or (M <= L - 1 and 2 * M <= L):
+        # 2M <= L: every composite of two reps is a path within the horizon
+        if fixed_len is not None or 2 * M <= L:
             rep_key = {r: closed.key(r) for r in roots}
             reps = sorted(rep_key.values(), key=_rank)
             if fixed_len is not None:
@@ -430,7 +415,7 @@ def saturate(pres: CatPresentation, max_len=10, fixed_len=None) -> SaturationRes
             ends = {rep_key[r]: (closed.vertices[closed.src[r]], closed.vertices[closed.tgt[r]])
                     for r in roots}
             cat = _category_from_closure(pres.quiver, reps, ends, path_class)
-            if cat is not None and cat.validate().ok:
+            if cat.validate().ok:
                 return SaturationResult("total", cat, count, L,
                                         class_reps=reps, path_class=path_class)
         last_count = count
@@ -443,8 +428,8 @@ def _mor_name(rep_key):
 
 def _category_from_closure(Q, reps, ends, path_class):
     """The category, named after the quiver Q, on the class representatives
-    `reps` (in `_rank` order), or None when a composite of two of them is
-    past the horizon."""
+    `reps` (in `_rank` order); every composite of two of them is a path in
+    `path_class`."""
     name_of = {r: _mor_name(r) for r in reps}
     mors = [(name_of[r], *ends[r]) for r in reps]
     ident = {v: name_of[path_class[(v, ())]] for v in Q.vertices}
@@ -453,10 +438,7 @@ def _category_from_closure(Q, reps, ends, path_class):
         for r2 in reps:         # r2 = f: u -> v
             if ends[r2][1] != ends[r1][0]:
                 continue
-            k = (r2[0], r1[1] + r2[1])
-            if k not in path_class:
-                return None
-            comp[(name_of[r1], name_of[r2])] = name_of[path_class[k]]
+            comp[(name_of[r1], name_of[r2])] = name_of[path_class[(r2[0], r1[1] + r2[1])]]
     return FinCat(Q.name, Q.vertices, mors, ident, comp)
 
 

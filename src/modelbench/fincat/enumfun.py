@@ -222,12 +222,6 @@ def find_category_isomorphism(C: FinCat, D: FinCat):
                  and len(set(F.mor_map.values())) == len(D.morphisms)), None)
 
 
-def is_equivalence_structural(F: Functor) -> bool:
-    """Equivalence via fully faithful + dense; the fast route used in bulk
-    checks, cross-validated against quasi-inverse search in the test suite."""
-    return F.is_full() and F.is_faithful() and F.is_dense()
-
-
 def find_quasi_inverse(F: Functor):
     """A quasi-inverse (G, eta: GF => Id_C iso, eps: FG => Id_D iso), by
     brute force.  Returns None when no candidate works."""

@@ -35,7 +35,6 @@ from modelbench.fincat.corpus import full_corpus
 from modelbench.fincat.enumfun import (
     find_quasi_inverse,
     functors_with,
-    is_equivalence_structural,
     natural_isos,
 )
 from modelbench.lifting import Square, find_lifting, is_orthogonal
@@ -70,11 +69,12 @@ def test_classify_generating_cofibrations_are_injections():
 
 
 def test_equivalence_structural_matches_quasi_inverse_search():
-    cats = [unit_category(), k_category(0), k_category(1), interval_category()]
+    cats = [unit_category(), k_category(0), k_category(1), k_category(2),
+            interval_category(), full_corpus()["PA2"]]
     for C in cats:
         for D in cats:
             for F in enumerate_functors(C, D):
-                structural = is_equivalence_structural(F)
+                structural = classify(F).equivalence
                 assert structural == (find_quasi_inverse(F) is not None), F.name
 
 
@@ -194,7 +194,8 @@ def test_cylinder_factorization_point_into_interval():
     F = inc0()
     fac = functor_cylinder_factorization(F)
     assert len(fac.dprime.objects) == 3
-    assert fac.p_class.full and fac.p_class.faithful and fac.p_class.surjective_on_objects
+    p_class = classify(fac.p)
+    assert p_class.full and p_class.faithful and p_class.surjective_on_objects
 
 
 def test_cylinder_factorization_from_empty():
@@ -211,7 +212,7 @@ def test_cocylinder_factorization_unit_into_k2():
     fac = functor_cocylinder_factorization(F)
     # only identity isos exist in K2, so one triple per iso out of F(*)
     assert len(fac.cprime.objects) == 1
-    assert fac.q_class.isofibration
+    assert classify(fac.q).isofibration
 
 
 def test_cocylinder_factorization_from_empty_is_empty():
@@ -260,6 +261,15 @@ def test_kept_diagrams_equal_fresh_ones(name):
         assert kept.base is C and fresh.base is C2
         for f in fields:
             assert getattr(kept, f) == getattr(fresh, f), f
+
+
+@pytest.mark.parametrize("name", list(full_corpus()))
+def test_path_object_is_the_cocylinder_of_the_identity(name):
+    D = full_corpus()[name]
+    po = path_object(D)
+    fac = functor_cocylinder_factorization(identity_functor(D))
+    assert po.path_cat == fac.cprime
+    assert (po.const, po.p0, po.p1) == (fac.iota, fac.pr1, fac.q)
 
 
 def test_same_name_categories_get_their_own_diagrams():
