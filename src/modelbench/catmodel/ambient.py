@@ -6,8 +6,7 @@ from ..fincat import FinCat, Functor, enumerate_functors, free_category
 from ..fincat.core import identity_functor
 from ..fincat.diagrams import CatDiagram, colimit
 from ..fincat.enumfun import functors_with
-from ..lifting.search import (OrthogonalityResult, enumerate_squares, find_lifting,
-                              is_orthogonal)
+from ..lifting.search import OrthogonalityResult, is_orthogonal, lifted_squares
 
 
 class CatAmbient:
@@ -82,14 +81,13 @@ class CatAmbient:
         return result.category, inclusion, cell_maps
 
     def attachment_squares(self, generators, f: Functor):
-        """All commuting squares from the generators into f (the bounded
-        index set of the small object argument)."""
-        out = []
-        for gen in generators:
-            for sq in enumerate_squares(self, gen, f):
-                if find_lifting(sq) is None:
-                    out.append((gen, sq.top, sq.bottom))
-        return out
+        """The commuting squares from the generators into f that have no
+        diagonal, as (generator, top, bottom) in generator order and then
+        `lifted_squares` order (the bounded index set of the small object
+        argument)."""
+        return [(gen, sq.top, sq.bottom)
+                for gen in generators
+                for sq, lifted in lifted_squares(self, gen, f) if not lifted]
 
     # -- derived operations, memoized per ambient ----------------------------
 

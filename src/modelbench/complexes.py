@@ -20,13 +20,13 @@ from fractions import Fraction
 from .linalg import (
     Mat,
     Vec,
+    _integer_rref,
     column_space_basis,
     frac,
     mat_mul,
     mat_vec,
     nullspace,
     rank,
-    rref,
     solve,
     zeros,
 )
@@ -175,14 +175,15 @@ def coboundaries(X: Complex, n: int) -> list[Vec]:
 
 def _complement_in(space_basis, sub_basis, dim):
     """Representatives extending sub_basis to span(space_basis): the
-    space_basis vectors at the pivot columns of one rref of the columns
-    [sub | space].  A pivot column is one outside the span of the columns
-    before it, so these are the vectors a greedy rank loop keeps, in order,
-    provided sub_basis is independent (coboundaries returns pivot columns)."""
+    space_basis vectors at the pivot columns of one reduction of the
+    columns [sub | space], whose pivots alone are read.  A pivot column is
+    one outside the span of the columns before it, so these are the vectors
+    a greedy rank loop keeps, in order, provided sub_basis is independent
+    (coboundaries returns pivot columns)."""
     if not space_basis:
         return []
     cols = list(sub_basis) + list(space_basis)
-    _, pivots = rref([[v[i] for v in cols] for i in range(dim)])
+    _, pivots, _ = _integer_rref([[v[i] for v in cols] for i in range(dim)])
     k = len(sub_basis)
     return [space_basis[pc - k] for pc in pivots if pc >= k]
 

@@ -2,17 +2,20 @@
 
 Matrices are lists of rows of Fractions; an m x n matrix represents a map
 Q^n -> Q^m acting on column vectors.  Everything here is deterministic:
-pivots are chosen left to right, candidate rows top to bottom.  `rref` is
-the only reduction; callers with several questions about one matrix ask them
-in one call (`solve` takes every right-hand side at once) so the matrix is
-reduced once, not once per vector.
+pivots are chosen left to right, candidate rows top to bottom.
+`_integer_rref` is the only reduction; callers with several questions about
+one matrix ask them in one call (`solve` takes every right-hand side at
+once) so the matrix is reduced once, not once per vector.  `rref` divides
+the reduced rows into Fractions; `rank`, `column_space_basis` and
+`complexes._complement_in` read only the pivots and build no Fraction.
 
-`rref` eliminates fraction-free over Python ints (Bareiss 1968, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math. Comp.
-22): each row is cleared of denominators, every update is divided exactly by
-the previous pivot, and the result is divided by one common pivot at the end.
-So a Fraction, with its gcd, is built once per nonzero entry of the answer,
-not after every arithmetic operation.  Every answer entry is a Fraction.
+The reduction eliminates fraction-free over Python ints (Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22): each row is cleared of denominators, every
+update is divided exactly by the previous pivot, and `rref` divides the
+result by one common pivot at the end.  So a Fraction, with its gcd, is
+built once per nonzero entry of the answer, not after every arithmetic
+operation.  Every answer entry is a Fraction.
 """
 
 from __future__ import annotations
@@ -74,18 +77,18 @@ def transpose(a: Mat) -> Mat:
     return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices).
+def _integer_rref(a: Mat) -> tuple[list[list[int]], list[int], int]:
+    """The fraction-free Gauss-Jordan reduction of `a`: (integer rows, pivot
+    column indices, last pivot d), where the rows divided by d are the
+    reduced row echelon form.
 
-    Fraction-free Gauss-Jordan: each row is scaled by the lcm of its
-    denominators, then with p the new pivot, prev the one before it (1 at
-    first) and c a row's entry in the pivot column, every other row becomes
-    (p*row - c*pivot_row) // prev.  By Sylvester's identity each entry is then
-    a minor of the scaled matrix, so the division is exact.  A reduced row's
-    pivot entry follows p, so at the end every pivot entry equals the last
-    pivot d and the answer is the integer matrix divided by d.  The reduced
-    row echelon form is unique, so this is the matrix that Fraction
-    elimination gives, with the same pivots."""
+    Each row is scaled by the lcm of its denominators, then with p the new
+    pivot, prev the one before it (1 at first) and c a row's entry in the
+    pivot column, every other row becomes (p*row - c*pivot_row) // prev.  By
+    Sylvester's identity each entry is then a minor of the scaled matrix, so
+    the division is exact.  A reduced row's pivot entry follows p, so at the
+    end every pivot entry equals the last pivot d.  Callers that read only
+    the pivots stop here and build no Fraction."""
     m, n = shape(a)
     r = []
     for xs in a:
@@ -117,11 +120,20 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
         row += 1
         if row == m:
             break
-    return [[Fraction(x, prev) if x else _ZERO for x in ri] for ri in r], pivots
+    return r, pivots, prev
+
+
+def rref(a: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form; returns (rref, pivot column indices): the
+    integer rows of `_integer_rref` divided by its last pivot.  The reduced
+    row echelon form is unique, so this is the matrix that Fraction
+    elimination gives, with the same pivots."""
+    r, pivots, d = _integer_rref(a)
+    return [[Fraction(x, d) if x else _ZERO for x in ri] for ri in r], pivots
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return len(_integer_rref(a)[1])
 
 
 def nullspace(a: Mat, width: int | None = None) -> list[Vec]:
@@ -176,6 +188,6 @@ def solve(a: Mat, bs: list[Vec]) -> list[Vec | None]:
 
 def column_space_basis(a: Mat) -> list[Vec]:
     """Columns of `a` forming a basis of its image (original columns)."""
-    _, pivots = rref(a)
+    _, pivots, _ = _integer_rref(a)
     cols = transpose(a)
     return [cols[j] for j in pivots]

@@ -54,6 +54,28 @@ def test_orthogonal_out_of_budget_leaves_no_memo(monkeypatch):
     assert got.squares_checked > 0
 
 
+def test_orthogonal_budget_sweep_raises_or_gives_the_full_answer(monkeypatch):
+    # at every lowered budget is_orthogonal either raises or gives the
+    # full-budget answer, never a "no"; an ambient that raised keeps no memo
+    f, g = k2_to_k1(), inc0()
+    full = is_orthogonal(CatAmbient(), f, g)
+    assert (full.orthogonal, full.squares_checked) == (True, 1)
+    answered = []
+    for budget in range(1, 13):
+        monkeypatch.setattr(enumfun, "NODE_BUDGET", budget)
+        try:
+            got = is_orthogonal(CatAmbient(), f, g)
+        except GuardExceeded:
+            a = CatAmbient()
+            with pytest.raises(GuardExceeded):
+                a.orthogonal(f, g)
+            assert a._orth_memo == {}
+            continue
+        assert (got.orthogonal, got.squares_checked, got.counterexample) == (True, 1, None)
+        answered.append(budget)
+    assert answered == list(range(10, 13))
+
+
 def test_path_route_and_ho_hom_out_of_budget_raise_never_answer(monkeypatch):
     # at every lowered budget the pinned path route and the bucketed ho_hom
     # either raise or give the full-budget answer: never "no K" and never

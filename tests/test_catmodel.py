@@ -31,13 +31,13 @@ from modelbench.fincat import (
     unit_category,
 )
 from modelbench.fincat.core import identity_functor
-from modelbench.fincat.corpus import full_corpus
+from modelbench.fincat.corpus import base_corpus, full_corpus
 from modelbench.fincat.enumfun import (
     find_quasi_inverse,
     functors_with,
     natural_isos,
 )
-from modelbench.lifting import Square, find_lifting, is_orthogonal
+from modelbench.lifting import Square, find_lifting, is_orthogonal, lifted_squares
 from test_fincat_core import automorphism_corpus
 
 AMB = CatAmbient()
@@ -137,8 +137,15 @@ def test_constructive_lift_precondition_errors():
 
 
 def _all_squares(F, G):
-    from modelbench.lifting.search import enumerate_squares
-    return list(enumerate_squares(AMB, F, G))
+    return [sq for sq, _ in lifted_squares(AMB, F, G)]
+
+
+def axioms_corpus():
+    """The 105 functors between the axioms workload's seven categories 0, 1,
+    K0, K1, I, K2 and PA2, in category-pair order."""
+    cats = base_corpus()
+    names = ["0", "1", "K0", "K1", "I", "K2", "PA2"]
+    return [F for a in names for b in names for F in enumerate_functors(cats[a], cats[b])]
 
 
 def test_constructive_lifts_agree_with_brute_force():
@@ -179,6 +186,36 @@ def test_constructive_lift_injection_vs_acyclic_isofib_agrees():
                 assert w.verify()
                 checked += 1
     assert checked > 10
+
+
+def test_mc4_squares_lift_by_table_search_and_construction():
+    # every square of every corpus pair (acyclic injection, isofibration) or
+    # (injection, acyclic isofibration): the table says lifted, the
+    # per-square search finds a diagonal and the matching construction
+    # verifies
+    corpus = axioms_corpus()
+    assert len(corpus) == 105
+    amb = CatAmbient()
+    constructed = {"acyclic_injection": 0, "acyclic_isofibration": 0}
+    squares = 0
+    for f in corpus:
+        for g in corpus:
+            left = classify(f).acyclic_injection and classify(g).isofibration
+            right = classify(f).injection and classify(g).acyclic_isofibration
+            if not (left or right):
+                continue
+            for sq, lifted in lifted_squares(amb, f, g):
+                squares += 1
+                assert lifted
+                assert find_lifting(sq) is not None
+                if left:
+                    assert lift_acyclic_injection_vs_isofibration(sq).verify()
+                    constructed["acyclic_injection"] += 1
+                if right:
+                    assert lift_injection_vs_acyclic_isofibration(sq).verify()
+                    constructed["acyclic_isofibration"] += 1
+    assert squares == 4134
+    assert constructed == {"acyclic_injection": 2852, "acyclic_isofibration": 1750}
 
 
 # -- factorizations --------------------------------------------------------

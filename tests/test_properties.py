@@ -1,6 +1,8 @@
 """Property-based differential tests: the memoized routes of a long-lived
 ambient, and the cylinders and path objects kept on shared categories,
-against the uncached routes on fresh ones; `functors_with` against a
+against the uncached routes on fresh ones; the table of diagonals of
+`lifted_squares`, through `is_orthogonal` and `attachment_squares`, against
+a diagonal search per square; `functors_with` against a
 filtered `enumerate_functors`, and through it the mediating maps of the
 cylinder pushout and cocylinder pullback checks against the scans over
 every functor they replaced, and the maps out of a cell stage against
@@ -41,7 +43,9 @@ from modelbench.complexes import (
 )
 from modelbench.linalg import (column_space_basis, mat_vec, nullspace, rank, rref, shape, solve,
                                transpose, zeros)
-from modelbench.lifting import find_retract, is_orthogonal, small_object_factorization
+from modelbench.lifting import (Square, find_lifting, find_retract, is_orthogonal,
+                                lifted_squares, small_object_factorization)
+from test_catmodel import axioms_corpus
 from test_complexes import random_bounded_chain_map
 
 _CATS = list(base_corpus().values())
@@ -90,6 +94,86 @@ def test_memoized_find_retract_matches_uncached_search(f, f2):
     else:
         assert w is not None and w.verify()
         assert all(MEMO.equal(u, v) for u, v in zip((w.i, w.p, w.j, w.q), want))
+
+
+# -- lifting: one table of diagonals per pair against a search per square ----
+
+def ref_squares(a, f, g):
+    """Every commuting square from f to g, lexicographic in (top, bottom):
+    the square enumerator that `lifted_squares` replaced."""
+    tops = a.morphisms_between(a.dom(f), a.dom(g))
+    bottoms = a.morphisms_between(a.cod(f), a.cod(g))
+    bottoms_f = [(bottom, a.compose(bottom, f)) for bottom in bottoms]
+    for top in tops:
+        gt = a.compose(g, top)
+        for bottom, bf in bottoms_f:
+            if a.equal(gt, bf):
+                yield Square(a, f, g, top, bottom)
+
+
+def ref_is_orthogonal(a, f, g):
+    """f perp g by a pinned diagonal search per square, as is_orthogonal was
+    before the table: (verdict, squares checked, first square with no
+    diagonal)."""
+    checked = 0
+    for sq in ref_squares(a, f, g):
+        checked += 1
+        if find_lifting(sq) is None:
+            return False, checked, sq
+    return True, checked, None
+
+
+def same_orthogonality(got, want):
+    verdict, checked, counterexample = want
+    assert (got.orthogonal, got.squares_checked) == (verdict, checked)
+    if counterexample is None:
+        assert got.counterexample is None
+    else:
+        assert (got.counterexample.top, got.counterexample.bottom) == (
+            counterexample.top, counterexample.bottom)
+
+
+@SETTINGS
+@given(functors, functors)
+def test_orthogonality_table_matches_search_per_square(f, g):
+    same_orthogonality(is_orthogonal(CatAmbient(), f, g),
+                       ref_is_orthogonal(CatAmbient(), f, g))
+
+
+@SETTINGS
+@given(functors)
+def test_attachment_squares_are_the_squares_search_cannot_lift(p):
+    gens = generating_cofibrations()
+    a = CatAmbient()
+    want = [(gen, sq.top, sq.bottom) for gen in gens
+            for sq in ref_squares(a, gen, p) if find_lifting(sq) is None]
+    assert CatAmbient().attachment_squares(gens, p) == want
+
+
+def test_orthogonality_table_matches_search_on_the_axioms_corpus():
+    # every ordered pair of the axioms workload's 105 functors: the squares
+    # in order with each table answer against the per-square search, and
+    # each pair's verdict, count and counterexample read off them
+    corpus = axioms_corpus()
+    a = CatAmbient()
+    squares = unlifted = 0
+    for f in corpus:
+        for g in corpus:
+            want = [(sq.top, sq.bottom, find_lifting(sq) is not None)
+                    for sq in ref_squares(a, f, g)]
+            assert [(sq.top, sq.bottom, lifted)
+                    for sq, lifted in lifted_squares(a, f, g)] == want
+            squares += len(want)
+            misses = [k for k, (_, _, lifted) in enumerate(want) if not lifted]
+            unlifted += len(misses)
+            res = is_orthogonal(a, f, g)
+            if misses:
+                top, bottom, _ = want[misses[0]]
+                assert (res.orthogonal, res.squares_checked) == (False, misses[0] + 1)
+                assert (res.counterexample.top, res.counterexample.bottom) == (top, bottom)
+            else:
+                assert (res.orthogonal, res.squares_checked) == (True, len(want))
+    assert (squares, unlifted) == (37147, 13608)
 
 
 # -- natural isomorphism: warm diagrams against cold categories ------------
