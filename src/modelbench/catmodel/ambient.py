@@ -12,20 +12,48 @@ from ..lifting.search import OrthogonalityResult, is_orthogonal, lifted_squares
 class CatAmbient:
     """Morphisms are functors between finite categories; everything is
     enumerable, and functor sets are cached per (source, target) pair.
-    Functors and categories are hashable with `==` agreeing with `equal`, so
-    the derived facts below are memoized per value for the life of the
-    ambient."""
+    Functors and categories are hashable with `==` agreeing with `equal`
+    (each keeps its value hash on the instance), so the derived facts below
+    are memoized per value for the life of the ambient.
+
+    The lifting and retract searches compare functors as ints.  `_ids` maps
+    each functor's value `key` (its morphism images in source order) to an
+    int, which tells functors apart within one Hom set.  Two int tables are
+    built from it, memoized per (functor, category):
+
+    - `pre(f, x)[k]`, in `_pre`, is the id of h o f for the k-th h in
+      Hom(cod f, x);
+    - `post(g, b)[k]`, in `_post`, is the id of g o h for the k-th h in
+      Hom(b, dom g).
+
+    Either table composes through the keys alone, so it builds no `Functor`
+    and enumerates no Hom set but the one it is indexed by.  `_section_memo`
+    keeps the section pairs of each object pair as index pairs, and
+    `_composites` keeps one instance per composite value, so facts kept on a
+    composite (its classification) are computed once."""
 
     def __init__(self):
         self._fun_cache: dict = {}
         self._orth_memo: dict = {}
         self._section_memo: dict = {}
+        self._ids: dict = {}
+        self._pre: dict = {}
+        self._post: dict = {}
+        self._composites: dict = {}
 
     def equal(self, f: Functor, g: Functor) -> bool:
         return f == g
 
     def compose(self, g: Functor, f: Functor) -> Functor:
-        return f.then(g)
+        """g o f, one shared instance per value for the life of this
+        ambient."""
+        if f.target != g.source:
+            raise ValueError("functors not composable")
+        key = (f.source, g.target, tuple(map(g.mor_map.__getitem__, f.key)))
+        gf = self._composites.get(key)
+        if gf is None:
+            gf = self._composites[key] = f.then(g)
+        return gf
 
     def identity(self, obj: FinCat) -> Functor:
         return identity_functor(obj)
@@ -47,6 +75,38 @@ class CatAmbient:
         if key not in self._fun_cache:
             self._fun_cache[key] = enumerate_functors(x, y)
         return self._fun_cache[key]
+
+    def id_of(self, f: Functor) -> int:
+        """The int of f's value; equal ints within one Hom set are equal
+        functors."""
+        return self._ids.setdefault(f.key, len(self._ids))
+
+    def _ids_of(self, keys):
+        ids = self._ids
+        return [ids.setdefault(k, len(ids)) for k in keys]
+
+    def pre(self, f: Functor, x: FinCat) -> list:
+        """pre(f, x)[k] is the id of h o f for the k-th h in
+        Hom(cod f, x), memoized per (f, x)."""
+        key = (f, x)
+        table = self._pre.get(key)
+        if table is None:
+            fk = f.key
+            table = self._pre[key] = self._ids_of(
+                tuple(map(h.mor_map.__getitem__, fk))
+                for h in self.morphisms_between(f.target, x))
+        return table
+
+    def post(self, g: Functor, b: FinCat) -> list:
+        """post(g, b)[k] is the id of g o h for the k-th h in
+        Hom(b, dom g), memoized per (g, b)."""
+        key = (g, b)
+        table = self._post.get(key)
+        if table is None:
+            gm = g.mor_map.__getitem__
+            table = self._post[key] = self._ids_of(
+                tuple(map(gm, h.key)) for h in self.morphisms_between(b, g.source))
+        return table
 
     def lift_candidates(self, square):
         """Functors h: cod(left) -> dom(right) with h o left = top, found by
@@ -104,17 +164,18 @@ class CatAmbient:
         return res
 
     def section_pairs(self, x, x2):
-        """All (i: x -> x2, p: x2 -> x) with p o i = id_x, memoized per
-        (x, x2) for as long as this ambient lives."""
+        """Every (i: x -> x2, p: x2 -> x) with p o i = id_x, as index pairs
+        into `morphisms_between(x, x2)` and `morphisms_between(x2, x)`,
+        memoized per (x, x2) for as long as this ambient lives."""
         key = (x, x2)
         pairs = self._section_memo.get(key)
         if pairs is None:
-            idx = self.identity(x)
+            idx = self.id_of(self.identity(x))
             pairs = self._section_memo[key] = [
-                (i, p)
-                for i in self.morphisms_between(x, x2)
-                for p in self.morphisms_between(x2, x)
-                if self.equal(self.compose(p, i), idx)
+                (k, n)
+                for k, i in enumerate(self.morphisms_between(x, x2))
+                for n, pi in enumerate(self.pre(i, x))
+                if pi == idx
             ]
         return pairs
 

@@ -41,10 +41,11 @@ class FinCat:
 
     Immutable after construction: the tables are copied in and never
     written again, so facts derived from a category stay valid for its life
-    and are kept on the instance: `_iso_cache` (the inverses, filled by
-    `inverse_of`), `_reflection` (the skeleton, filled by `reflection`),
-    from `enumfun` the composition buckets `_comp_buckets`, and from
-    `catmodel` the cylinder `_cylinder` and the path object
+    and are kept on the instance: `_hash` (the value hash, taken once
+    because every memo key hashes categories), `_iso_cache` (the inverses,
+    filled by `inverse_of`), `_reflection` (the skeleton, filled by
+    `reflection`), from `enumfun` the composition buckets `_comp_buckets`,
+    and from `catmodel` the cylinder `_cylinder` and the path object
     `_path_object`."""
 
     def __init__(self, name, objects, morphisms, identity, compose):
@@ -59,6 +60,7 @@ class FinCat:
         self._hom: dict[tuple[str, str], list[str]] = {}
         for (m, d, c) in self.morphisms:
             self._hom.setdefault((d, c), []).append(m)
+        self._hash = hash((tuple(self.objects), tuple(self.morphisms)))
         self._iso_cache: dict[str, str] | None = None
         self._reflection: Reflection | None = None
 
@@ -91,7 +93,7 @@ class FinCat:
                 and self.compose_table == other.compose_table)
 
     def __hash__(self):
-        return hash((tuple(self.objects), tuple(self.morphisms)))
+        return self._hash
 
     # -- structure ------------------------------------------------------
 
@@ -184,8 +186,11 @@ class FinCat:
 class Functor:
     """A functor given by its object and morphism maps.  Immutable after
     construction: the maps are copied in and never written again, so facts
-    derived from a functor (such as its classification, which
-    `catmodel.classify` keeps on the instance) stay valid for its life."""
+    derived from a functor stay valid for its life and are kept on the
+    instance: its value `key` (`_key`), which the ambient's int tables
+    read, and its value hash `_hash`, which every memo key reads, both taken
+    on first use; and the classification that `catmodel.classify` keeps as
+    `_classification`."""
 
     def __init__(self, name, source: FinCat, target: FinCat, obj_map, mor_map):
         self.name = name
@@ -193,6 +198,17 @@ class Functor:
         self.target = target
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
+        self._key = None
+        self._hash = None
+
+    @property
+    def key(self) -> tuple:
+        """The morphism images in source order.  Between one source and
+        target it determines the functor, since each object goes where its
+        identity goes."""
+        if self._key is None:
+            self._key = tuple(self.mor_map.get(m) for m in self.source.morphism_ids)
+        return self._key
 
     def __repr__(self):
         return f"Functor({self.name!r}: {self.source.name} -> {self.target.name})"
@@ -204,7 +220,9 @@ class Functor:
                 and self.obj_map == other.obj_map and self.mor_map == other.mor_map)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.obj_map.items())), tuple(sorted(self.mor_map.items()))))
+        if self._hash is None:
+            self._hash = hash((self.source, self.target, self.key))
+        return self._hash
 
     def validate(self) -> ValidationReport:
         failures = []

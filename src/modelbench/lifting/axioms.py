@@ -69,25 +69,32 @@ def check_model_axioms(a, triple: ModelTriple, corpus,
     else:
         report.add("MC1-identities", "ok", f"{len(objs)} objects")
 
+    # The triple's predicates, asked once per corpus functor: one row of
+    # (Cof, We, Fib) memberships per functor, in corpus order.
+    classes = _classes(triple)
+    rows = [tuple(ctest(f) for _, ctest in classes) for f in corpus]
+
     # One pass over the composable pairs builds each g o f once for both
     # MC1-composition and MC3 (two out of three for weak equivalences), and
-    # keeps each axiom's first counterexample.
+    # keeps each axiom's first counterexample.  The ambient keeps one
+    # instance per composite value, so each distinct g o f is classified
+    # once.
     comp_fail = None
     two_of_three_fail = None
     pairs = 0
-    for f in corpus:
-        for g in corpus:
+    for f, rf in zip(corpus, rows):
+        for g, rg in zip(corpus, rows):
             if a.cod(f) is not a.dom(g) and a.cod(f) != a.dom(g):
                 continue
             gf = a.compose(g, f)
             pairs += 1
             if comp_fail is None:
-                for cname, ctest in _classes(triple):
-                    if ctest(f) and ctest(g) and not ctest(gf):
+                for (cname, ctest), in_f, in_g in zip(classes, rf, rg):
+                    if in_f and in_g and not ctest(gf):
                         comp_fail = (cname, f, g)
                         break
             if (two_of_three_fail is None
-                    and triple.we(f) + triple.we(g) + triple.we(gf) == 2):
+                    and rf[1] + rg[1] + triple.we(gf) == 2):
                 two_of_three_fail = (f, g)
             if comp_fail and two_of_three_fail:
                 break
@@ -103,20 +110,18 @@ def check_model_axioms(a, triple: ModelTriple, corpus,
     # MC2: closure under retracts
     fail = None
     checked = 0
-    for f in corpus:
-        for f2 in corpus:
+    for f, rf in zip(corpus, rows):
+        for f2, rf2 in zip(corpus, rows):
             if f is f2:
                 continue
-            needed = [
-                (cname, ctest) for cname, ctest in _classes(triple)
-                if ctest(f2) and not ctest(f)
-            ]
+            needed = [cname for (cname, _), in_f, in_f2 in zip(classes, rf, rf2)
+                      if in_f2 and not in_f]
             if not needed:
                 continue
             w = find_retract(a, f, f2)
             checked += 1
             if w is not None:
-                fail = (needed[0][0], f, f2, w)
+                fail = (needed[0], f, f2, w)
                 break
         if fail:
             break
@@ -133,14 +138,13 @@ def check_model_axioms(a, triple: ModelTriple, corpus,
     else:
         report.add("MC3-two-of-three", "ok")
 
-    # MC4: lifting axiom on corpus pairs
+    # MC4: lifting axiom on the corpus pairs (acyclic cofibration,
+    # fibration) and (cofibration, acyclic fibration)
     fail = None
     tested = 0
-    for f in corpus:
-        for g in corpus:
-            left_acyclic = triple.acyclic_cof(f) and triple.fib(g)
-            right_acyclic = triple.cof(f) and triple.acyclic_fib(g)
-            if not (left_acyclic or right_acyclic):
+    for f, (cof_f, we_f, _) in zip(corpus, rows):
+        for g, (_, we_g, fib_g) in zip(corpus, rows):
+            if not (cof_f and fib_g and (we_f or we_g)):
                 continue
             res = a.orthogonal(f, g)
             tested += 1
@@ -181,15 +185,15 @@ def check_model_axioms(a, triple: ModelTriple, corpus,
         report.add("MC5-factorization", "sampled", "no factorization constructor supplied")
 
     # Cof = perp(We cap Fib), sampled against the corpus
-    acyclic_fibs = [g for g in corpus if triple.acyclic_fib(g)]
+    acyclic_fibs = [g for g, (_, we, fib) in zip(corpus, rows) if fib and we]
     fail = None
     unseparated = 0
-    for f in corpus:
+    for f, (cof_f, _, _) in zip(corpus, rows):
         ortho_all = all(a.orthogonal(f, g).orthogonal for g in acyclic_fibs)
-        if triple.cof(f) and not ortho_all:
+        if cof_f and not ortho_all:
             fail = f
             break
-        if ortho_all and not triple.cof(f):
+        if ortho_all and not cof_f:
             unseparated += 1
     if fail is not None:
         report.add("Cof-orthogonality", "fail", "cofibration fails lifting", fail)

@@ -2,11 +2,12 @@
 
 The checkers run over one ambient, `catmodel.CatAmbient`: morphisms are
 functors, and it supplies equality, composition, identities, enumeration
-of the functors between two categories, and the memoized orthogonality and
-section pairs.  Every witness holds its ambient and re-verifies itself
-against it alone.  `search.lifted_squares` builds the `Square`s of a pair
-(f, g) and decides which have a diagonal; `search.find_lifting` finds one
-for a given square.
+of the functors between two categories, int tables of composites, and the
+memoized orthogonality and section pairs.  Every witness holds its ambient
+and re-verifies itself against it alone.  `search.lifted_squares` builds
+the `Square`s of a pair (f, g) and decides which have a diagonal, which is
+all the checkers ask; `search.find_lifting` searches one given square for
+its diagonal, a witness that no checker builds.
 """
 
 from __future__ import annotations

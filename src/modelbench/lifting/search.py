@@ -9,8 +9,12 @@ property against g iff the map
 
 is onto (Quillen, Homotopical Algebra, 1967; Riehl, Categorical Homotopy
 Theory, 2014, 11.1).  `lifted_squares` decides every square of a pair (f, g)
-from one pass over Hom(B, X) that records the image of this map;
-`find_lifting` is the per-square route that searches for one diagonal.
+from one pass over Hom(B, X) that records the image of this map, and
+`is_orthogonal` and the ambient's `attachment_squares` read it.  Squares and
+retracts are compared through the ambient's int tables `pre` and `post` of
+composites, so no composite `Functor` is built.
+`find_lifting` finds the diagonal of one given square, a witness that no
+checker here asks for.
 """
 
 from __future__ import annotations
@@ -42,22 +46,24 @@ def lifted_squares(a, f, g):
     """Every commuting square from f to g, lexicographic in (top, bottom),
     each paired with whether it has a diagonal.
 
-    The answers come from one table, built at the first commuting square:
-    for each h: cod f -> dom g, lifts[h o f] lists every g o h, so a square
-    has a diagonal iff its bottom is in the list under its top."""
-    tops = a.morphisms_between(a.dom(f), a.dom(g))
-    bottoms = a.morphisms_between(a.cod(f), a.cod(g))
-    bottoms_f = [(bottom, a.compose(bottom, f)) for bottom in bottoms]
+    A square commutes when post(g, A)[top] == pre(f, Y)[bottom], the ids of
+    g o top and bottom o f; the bottoms are bucketed by that id.  The
+    answers come from one set, built at the first commuting square: a
+    square has a diagonal iff (id top, id bottom) is some
+    (pre(f, X)[h], post(g, B)[h]), the ids of (h o f, g o h)."""
+    A, B, X = a.dom(f), a.cod(f), a.dom(g)
+    tops = a.morphisms_between(A, X)
+    bottoms = a.morphisms_between(B, a.cod(g))
+    by_bf = {}
+    for k, bf in enumerate(a.pre(f, a.cod(g))):
+        by_bf.setdefault(bf, []).append(k)
     lifts = None
-    for top in tops:
-        gt = a.compose(g, top)
-        for bottom, bf in bottoms_f:
-            if a.equal(gt, bf):
-                if lifts is None:
-                    lifts = {}
-                    for h in a.morphisms_between(a.cod(f), a.dom(g)):
-                        lifts.setdefault(a.compose(h, f), []).append(a.compose(g, h))
-                yield Square(a, f, g, top, bottom), bottom in lifts.get(top, ())
+    for top, gt in zip(tops, a.post(g, A)):
+        for k in by_bf.get(gt, ()):
+            if lifts is None:
+                lifts = set(zip(a.pre(f, X), a.post(g, B)))
+            bottom = bottoms[k]
+            yield Square(a, f, g, top, bottom), (a.id_of(top), a.id_of(bottom)) in lifts
 
 
 def is_orthogonal(a, f, g) -> OrthogonalityResult:
@@ -74,16 +80,24 @@ def is_orthogonal(a, f, g) -> OrthogonalityResult:
 
 
 def find_retract(a, f, f2) -> RetractWitness | None:
-    """Exhaustive search for a retract presentation of f through f2.  The
-    section pairs come from the ambient's per-object-pair memo, so only the
-    two square conditions are left to test; their composites with f and f2
-    are formed once per pair."""
-    xs = [(i, p, a.compose(f2, i), a.compose(f, p))
-          for (i, p) in a.section_pairs(a.dom(f), a.dom(f2))]
-    ys = [(j, q, a.compose(j, f), a.compose(q, f2))
-          for (j, q) in a.section_pairs(a.cod(f), a.cod(f2))]
-    for (i, p, f2i, fp) in xs:
-        for (j, q, jf, qf2) in ys:
-            if a.equal(f2i, jf) and a.equal(qf2, fp):
-                return RetractWitness(a, f, f2, i, p, j, q)
+    """Exhaustive search for a retract presentation of f through f2, in
+    the order of the ambient's memoized section pairs.  The two square
+    conditions f2 o i == j o f and q o f2 == f o p compare ids from the
+    `pre` and `post` tables, so no composite `Functor` is built."""
+    x, y, x2, y2 = a.dom(f), a.cod(f), a.dom(f2), a.cod(f2)
+    xs, ys = a.section_pairs(x, x2), a.section_pairs(y, y2)
+    if not (xs and ys):
+        return None
+    f2i, fp = a.post(f2, x), a.post(f, x2)
+    jf, qf2 = a.pre(f, y2), a.pre(f2, y)
+    first = {}
+    for (j, q) in ys:
+        first.setdefault((jf[j], qf2[q]), (j, q))
+    for (i, p) in xs:
+        jq = first.get((f2i[i], fp[p]))
+        if jq is not None:
+            j, q = jq
+            return RetractWitness(a, f, f2,
+                                  a.morphisms_between(x, x2)[i], a.morphisms_between(x2, x)[p],
+                                  a.morphisms_between(y, y2)[j], a.morphisms_between(y2, y)[q])
     return None

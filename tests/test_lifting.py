@@ -404,3 +404,76 @@ def test_composition_and_mc3_both_fail_in_one_pass():
     assert (f.source.name, f.target.name, g.target.name) == ("1", "K0", "1")
     assert (mc3.status, mc3.detail) == ("fail", "exactly two of three in We")
     assert [corpus_index(corpus, F) for F in mc3.counterexample] == [0, 1]
+
+
+# -- the first counterexample of wrong triples, pinned in full ---------------
+
+def k1_pa2_i_corpus():
+    """All functors among K1, P(A2) and I, in a seeded shuffled order."""
+    cats = base_corpus()
+    names = ["K1", "PA2", "I"]
+    corpus = [F for a in names for b in names for F in enumerate_functors(cats[a], cats[b])]
+    random.Random(5).shuffle(corpus)
+    return corpus
+
+
+def value(x):
+    """A report's counterexample by value: a functor as (source, target,
+    morphism images in source order), a category by name, a square as its
+    four functors."""
+    if isinstance(x, Functor):
+        return (x.source.name, x.target.name,
+                tuple(x.mor_map[m] for m in x.source.morphism_ids))
+    if isinstance(x, Square):
+        return tuple(value(y) for y in (x.left, x.right, x.top, x.bottom))
+    if isinstance(x, tuple):
+        return tuple(value(y) for y in x)
+    return x if x is None else x.name
+
+
+def sends_a_morphism_off_the_identities_or_is_an_endofunctor(F):
+    identities = set(F.target.identity.values())
+    return (any(v not in identities for v in F.mor_map.values())
+            or F.source == F.target)
+
+
+K1 = ("K1", "K1", ("id_1", "id_1", "id_1"))
+I_ID0 = ("I", "I", ("id_0", "id_0", "id_0", "id_0"))
+I_K1 = ("I", "K1", ("id_1", "id_1", "id_1", "id_1"))
+
+
+@pytest.mark.parametrize("triple,want", [
+    (ModelTriple(cof=sends_a_morphism_off_the_identities_or_is_an_endofunctor,
+                 we=lambda F: classify(F).equivalence,
+                 fib=lambda F: classify(F).isofibration), [
+        ("MC1-identities", "ok", "3 objects", None),
+        ("MC1-composition", "fail", "Cof not closed under composition",
+         (("K1", "A2", ("[e_2]", "[e_1]", "[alpha]")), ("A2", "A2", ("[e_1]", "[e_1]", "[e_1]")))),
+        ("MC2-retracts", "fail", "Cof not closed under retracts",
+         (("A2", "K1", ("id_0", "id_0", "id_0")), ("A2", "A2", ("[e_2]", "[e_2]", "[e_2]")))),
+        ("MC3-two-of-three", "ok", "", None),
+        ("MC4-lifting", "fail", "square without lift",
+         (I_ID0, I_K1, (I_ID0, I_K1, ("I", "I", ("id_0", "id_1", "a", "a_inv")), I_K1))),
+        ("MC5-factorization", "ok", "28 morphisms factored", None),
+        ("Cof-orthogonality", "sampled", "12 non-cofibrations not separated by the corpus", None),
+    ]),
+    (ModelTriple(cof=lambda F: classify(F).injection,
+                 we=lambda F: classify(F).full,
+                 fib=lambda F: classify(F).isofibration), [
+        ("MC1-identities", "ok", "3 objects", None),
+        ("MC1-composition", "ok", "256 composable pairs", None),
+        ("MC2-retracts", "ok", "388 candidate pairs searched", None),
+        ("MC3-two-of-three", "fail", "exactly two of three in We", (I_K1, K1)),
+        ("MC4-lifting", "ok", "148 orthogonal pairs verified", None),
+        ("MC5-factorization", "ok", "28 morphisms factored", None),
+        ("Cof-orthogonality", "ok", "0 non-cofibrations not separated by the corpus", None),
+    ]),
+], ids=["cof-moves-a-morphism", "we-full"])
+def test_wrong_triples_report_their_first_counterexamples(triple, want):
+    # the full reports as recorded before check_model_axioms asked each
+    # predicate once per corpus functor and shared its composites, so the
+    # first counterexample of every axiom keeps its place in the loop order
+    report = check_model_axioms(CatAmbient(), triple, k1_pa2_i_corpus(),
+                                factorizations=mc5_factorizations)
+    assert [(e.axiom, e.status, e.detail, value(e.counterexample))
+            for e in report.entries] == want

@@ -2,15 +2,17 @@
 ambient, and the cylinders and path objects kept on shared categories,
 against the uncached routes on fresh ones; the table of diagonals of
 `lifted_squares`, through `is_orthogonal` and `attachment_squares`, against
-a diagonal search per square; `functors_with` against a
-filtered `enumerate_functors`, and through it the mediating maps of the
-cylinder pushout and cocylinder pullback checks against the scans over
-every functor they replaced, and the maps out of a cell stage against
-fill-by-composition; `saturate` on integer path ids of the arrow quotient
-against the closure on the (src, arrows) keys of every path that it
-replaced; the one-reduction linear algebra of `complexes` against the
-per-vector routes it replaced; and the fraction-free `rref`, with every
-reading taken from it, against Fraction Gauss-Jordan elimination."""
+a diagonal search per square, also on categories with non-invertible
+endomorphisms; the ambient's int tables of composites and section index
+pairs against `Functor.then`; kept value hashes against cold copies;
+`functors_with` against a filtered `enumerate_functors`, and through it the
+mediating maps of the cylinder pushout and cocylinder pullback checks
+against the scans over every functor they replaced, and the maps out of a
+cell stage against fill-by-composition; `saturate` on integer path ids of
+the arrow quotient against the closure on the (src, arrows) keys of every
+path that it replaced; the one-reduction linear algebra of `complexes`
+against the per-vector routes it replaced; and the fraction-free `rref`,
+with every reading taken from it, against Fraction Gauss-Jordan elimination."""
 
 import random
 from fractions import Fraction
@@ -29,7 +31,8 @@ from modelbench.catmodel.homotopy import eta_to_path_homotopy
 from modelbench.fincat import CatPresentation, FinCat, Functor, diagrams, enumerate_functors
 from modelbench.fincat.diagrams import SaturationResult
 from modelbench.fincat.quivers import Quiver
-from modelbench.fincat.corpus import base_corpus, full_corpus
+from modelbench.fincat.core import identity_functor
+from modelbench.fincat.corpus import base_corpus, full_corpus, jordan_quiver
 from modelbench.fincat.enumfun import forced_images, functors_with, natural_isos
 from modelbench.complexes import (
     _complement_in,
@@ -176,6 +179,84 @@ def test_orthogonality_table_matches_search_on_the_axioms_corpus():
     assert (squares, unlifted) == (37147, 13608)
 
 
+# -- the int tables of composites against Functor composition ---------------
+
+def test_int_tables_match_functor_composition_on_the_axioms_corpus():
+    # for every axioms-corpus functor f and base category X, pre(f, X)[k] and
+    # post(f, X)[k] are the ids of the Functor.then composites h o f and
+    # f o h, and within each table equal ids are equal composites
+    a = CatAmbient()
+    cats = list(base_corpus().values())
+    entries = 0
+    for f in axioms_corpus():
+        for X in cats:
+            for table, composites in (
+                    (a.pre(f, X), [f.then(h) for h in a.morphisms_between(f.target, X)]),
+                    (a.post(f, X), [h.then(f) for h in a.morphisms_between(X, f.source)])):
+                assert table == [a.id_of(c) for c in composites]
+                by_value = dict(zip(composites, table))
+                assert [by_value[c] for c in composites] == table
+                assert len(by_value) == len(set(table))
+                entries += len(table)
+    assert entries == 4445
+    # the section pairs are the index pairs (i, p) with p o i == id
+    for x in cats:
+        for x2 in cats:
+            hom, back = a.morphisms_between(x, x2), a.morphisms_between(x2, x)
+            assert a.section_pairs(x, x2) == [
+                (k, n) for k, i in enumerate(hom) for n, p in enumerate(back)
+                if i.then(p) == identity_functor(x)]
+
+
+# -- categories with non-invertible endomorphisms ----------------------------
+
+def idempotent_category():
+    """E: one object with an idempotent, alpha o alpha = alpha."""
+    return diagrams.saturate(CatPresentation(
+        jordan_quiver(), [(("v", ("alpha", "alpha")), ("v", ("alpha",)))])).category
+
+
+def retraction_category():
+    """S: r: a -> b with a section s: b -> a, r o s = id_b, so s o r is a
+    non-invertible idempotent on a."""
+    quiver = Quiver("RS", ["a", "b"], [("r", "a", "b"), ("s", "b", "a")])
+    return diagrams.saturate(CatPresentation(quiver, [(("b", ("r", "s")), ("b", ()))])).category
+
+
+def endomorphism_corpus():
+    """The 54 functors among 1, E, S, I and P(A2)."""
+    E, S = idempotent_category(), retraction_category()
+    assert (len(E.morphisms), len(S.morphisms)) == (2, 5)
+    base = base_corpus()
+    cats = [base["1"], E, S, base["I"], base["PA2"]]
+    return [F for C in cats for D in cats for F in enumerate_functors(C, D)]
+
+
+def test_table_and_retracts_match_the_search_on_non_invertible_endomorphisms():
+    corpus = endomorphism_corpus()
+    assert len(corpus) == 54
+    a = CatAmbient()
+    squares = 0
+    for f in corpus:
+        for g in corpus:
+            want = [(sq.top, sq.bottom, find_lifting(sq) is not None)
+                    for sq in ref_squares(a, f, g)]
+            assert [(sq.top, sq.bottom, lifted)
+                    for sq, lifted in lifted_squares(a, f, g)] == want
+            squares += len(want)
+    assert squares == 8584
+    witnesses = 0
+    for f in corpus:
+        for f2 in corpus:
+            want = uncached_retract(a, f, f2)
+            w = find_retract(a, f, f2)
+            assert (w is None) == (want is None)
+            if w is not None:
+                assert w.verify() and (w.i, w.p, w.j, w.q) == want
+                witnesses += 1
+    assert witnesses == 187
+
+
 # -- natural isomorphism: warm diagrams against cold categories ------------
 
 # The categories shared by every example, so the cylinders and path objects
@@ -199,6 +280,19 @@ def cold_copy(key, F):
     """F on freshly built copies of its source and target."""
     cats = full_corpus()
     return Functor(F.name, cats[key[0]], cats[key[1]], F.obj_map, F.mor_map)
+
+
+@SETTINGS
+@given(parallel_pairs())
+def test_cold_copies_hash_equal(pair):
+    # the value hash kept on a category or functor is the one a fresh,
+    # equal copy computes
+    key, F, _ = pair
+    G = cold_copy(key, F)
+    assert G.source is not F.source and G.target is not F.target
+    assert (G.source, G.target, G) == (F.source, F.target, F)
+    assert ((hash(G.source), hash(G.target), hash(G))
+            == (hash(F.source), hash(F.target), hash(F)))
 
 
 @SETTINGS
