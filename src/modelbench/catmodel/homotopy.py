@@ -109,17 +109,20 @@ def ho_hom(C, D):
     comp, inv = D.compose_table, D.inverse_of
     mors = C.morphisms
     budget, nodes = enumfun.NODE_BUDGET, 0
+    rigid = all(len(a) == 1 for a in sk.auts.values())
     classes: dict[tuple, list] = {}
     for F in enumerate_functors(C, D):
         reps = tuple(sk.rep[F.obj_map[x]] for x in C.objects)
         base = key = tuple(sk.r[F.mor_map[m]] for (m, _, _) in mors)
-        nodes += prod(len(sk.auts[p]) for p in reps)
+        orbit = 1 if rigid else prod(len(sk.auts[p]) for p in reps)
+        nodes += orbit
         if nodes > budget:
             raise GuardExceeded(f"ho_hom orbit search exceeded {budget} nodes")
-        # the first conjugate, by the identities, is base itself
-        for alpha in islice(product(*(sk.auts[p] for p in reps)), 1, None):
-            a = dict(zip(C.objects, alpha))
-            key = min(key, tuple(comp[(comp[(a[y], u)], inv(a[x]))]
-                                 for u, (_, x, y) in zip(base, mors)))
+        if orbit > 1:
+            # the first conjugate, by the identities, is base itself
+            for alpha in islice(product(*(sk.auts[p] for p in reps)), 1, None):
+                a = dict(zip(C.objects, alpha))
+                key = min(key, tuple(comp[(comp[(a[y], u)], inv(a[x]))]
+                                     for u, (_, x, y) in zip(base, mors)))
         classes.setdefault((reps, key), []).append(F)
     return list(classes.values())

@@ -100,6 +100,7 @@ class PathDiagram:
     p0: Functor
     p1: Functor
     pairing: Functor        # Hom(I, D) -> D x D
+    triple_data: dict       # object -> (d0, alpha, d1)
 
 
 def path_object(D: FinCat) -> PathDiagram:
@@ -111,7 +112,7 @@ def path_object(D: FinCat) -> PathDiagram:
     cached = getattr(D, "_path_object", None)
     if cached is not None:
         return cached
-    path_cat, _, const, p0, p1 = _iso_triples(identity_functor(D), f"Hom(I,{D.name})")
+    path_cat, data, const, p0, p1 = _iso_triples(identity_functor(D), f"Hom(I,{D.name})")
     pairing = Functor(
         "(p0,p1)", path_cat, product(D, D),
         {t: _pair(p0.obj_map[t], p1.obj_map[t]) for t in path_cat.objects},
@@ -122,5 +123,5 @@ def path_object(D: FinCat) -> PathDiagram:
         raise AssertionError("path constant leg is not an acyclic injection")
     if not classify(pairing).isofibration:
         raise AssertionError("path pairing is not an isofibration")
-    D._path_object = PathDiagram(D, path_cat, const, p0, p1, pairing)
+    D._path_object = PathDiagram(D, path_cat, const, p0, p1, pairing, data)
     return D._path_object

@@ -57,23 +57,16 @@ def _pair(x, y):
 
 def product(C: FinCat, D: FinCat, name=None) -> FinCat:
     objs = [_pair(x, y) for x in C.objects for y in D.objects]
-    mors = []
+    mors, pair = [], {}
     for (f, fd, fc) in C.morphisms:
         for (g, gd, gc) in D.morphisms:
-            mors.append((_pair(f, g), _pair(fd, gd), _pair(fc, gc)))
-    ident = {_pair(x, y): _pair(C.identity[x], D.identity[y])
+            pair[f, g] = m = _pair(f, g)
+            mors.append((m, _pair(fd, gd), _pair(fc, gc)))
+    ident = {_pair(x, y): pair[C.identity[x], D.identity[y]]
              for x in C.objects for y in D.objects}
-    comp = {}
-    for (f1, _, f1c) in C.morphisms:
-        for (f2, f2d, _) in C.morphisms:
-            if f2d != f1c:
-                continue
-            fc = C.compose(f2, f1)
-            for (g1, _, g1c) in D.morphisms:
-                for (g2, g2d, _) in D.morphisms:
-                    if g2d != g1c:
-                        continue
-                    comp[(_pair(f2, g2), _pair(f1, g1))] = _pair(fc, D.compose(g2, g1))
+    comp = {(pair[f2, g2], pair[f1, g1]): pair[fc, gc]
+            for (f2, f1), fc in C.compose_table.items()
+            for (g2, g1), gc in D.compose_table.items()}
     return FinCat(name or f"{C.name}x{D.name}", objs, mors, ident, comp)
 
 
@@ -102,19 +95,23 @@ def induced_category(name, objects, phi, E: FinCat) -> tuple[FinCat, dict]:
     named induced_mor(s, t, d); the returned dict maps it to d."""
     objs = list(objects)
     base = {x: phi(x) for x in objs}
-    mors = []
-    under = {}
+    mors, under, named = [], {}, {}
     for x in objs:
         for y in objs:
             for d in E.hom(base[x], base[y]):
-                m = induced_mor(x, y, d)
+                named[x, y, d] = m = induced_mor(x, y, d)
                 mors.append((m, x, y))
                 under[m] = d
-    ident = {x: induced_mor(x, x, E.identity[base[x]]) for x in objs}
+    ident = {x: named[x, x, E.identity[base[x]]] for x in objs}
+    # each composite e o d of E gives x -> y -> z for x, y, z over its ends
+    over = {}
+    for x in objs:
+        over.setdefault(base[x], []).append(x)
     comp = {}
-    for (g, gd, gc) in mors:
-        for (f, fd, fc) in mors:
-            if fc != gd:
-                continue
-            comp[(g, f)] = induced_mor(fd, gc, E.compose(under[g], under[f]))
+    for (e, d), ed in E.compose_table.items():
+        for x in over.get(E.dom[d], ()):
+            for y in over.get(E.cod[d], ()):
+                f = named[x, y, d]
+                for z in over.get(E.cod[e], ()):
+                    comp[(named[y, z, e], f)] = named[x, z, ed]
     return FinCat(name, objs, mors, ident, comp), under

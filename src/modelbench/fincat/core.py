@@ -42,9 +42,10 @@ class FinCat:
     Immutable after construction: the tables are copied in and never
     written again, so facts derived from a category stay valid for its life
     and are kept on the instance: `_hash` (the value hash, taken once
-    because every memo key hashes categories), `_iso_cache` (the inverses,
-    filled by `inverse_of`), `_reflection` (the skeleton, filled by
-    `reflection`), from `enumfun` the composition buckets `_comp_buckets`,
+    because every memo key hashes categories), `_iso_cache` (the inverse of
+    each isomorphism and the isomorphisms out of each object, found in one
+    pass by `inverse_of` or `isos_out`), `_reflection` (the skeleton, filled
+    by `reflection`), from `enumfun` the functor search plan `_search_plan`,
     and from `catmodel` the cylinder `_cylinder` and the path object
     `_path_object`."""
 
@@ -61,7 +62,7 @@ class FinCat:
         for (m, d, c) in self.morphisms:
             self._hom.setdefault((d, c), []).append(m)
         self._hash = hash((tuple(self.objects), tuple(self.morphisms)))
-        self._iso_cache: dict[str, str] | None = None
+        self._iso_cache: tuple[dict, dict] | None = None
         self._reflection: Reflection | None = None
 
     # -- basic access ---------------------------------------------------
@@ -98,7 +99,8 @@ class FinCat:
     # -- structure ------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check identity laws and associativity on all composable triples;
+        """Check identity laws and associativity on all composable triples,
+        walked from the morphisms out of each object in morphism order;
         reports the first failing instance of each kind."""
         failures = []
         for x in self.objects:
@@ -111,42 +113,52 @@ class FinCat:
             if left != m or right != m:
                 failures.append(f"identity law fails at {m}")
                 break
+        out, table = {}, self.compose_table
+        for (m, d, c) in self.morphisms:
+            out.setdefault(d, []).append((m, c))
         for (f, fd, fc) in self.morphisms:
-            for (g, gd, gc) in self.morphisms:
-                if gd != fc:
-                    continue
-                if (g, f) not in self.compose_table:
+            for (g, gc) in out.get(fc, ()):
+                if (g, f) not in table:
                     failures.append(f"composition table misses ({g}, {f})")
                     return ValidationReport(False, failures)
-                gf = self.compose_table[(g, f)]
+                gf = table[(g, f)]
                 if self.dom.get(gf) != fd or self.cod.get(gf) != gc:
                     failures.append(f"composite {g} o {f} = {gf} has wrong endpoints")
                     return ValidationReport(False, failures)
         if failures:
             return ValidationReport(False, failures)
-        for (f, fd, fc) in self.morphisms:
-            for (g, gd, gc) in self.morphisms:
-                if gd != fc:
-                    continue
-                for (h, hd, hc) in self.morphisms:
-                    if hd != gc:
-                        continue
-                    if self.compose(h, self.compose(g, f)) != self.compose(self.compose(h, g), f):
+        for (f, _, fc) in self.morphisms:
+            for (g, gc) in out.get(fc, ()):
+                gf = table[(g, f)]
+                for (h, _) in out.get(gc, ()):
+                    if table[(h, gf)] != table[(table[(h, g)], f)]:
                         failures.append(f"associativity fails at triple ({h}, {g}, {f})")
                         return ValidationReport(False, failures)
-        return ValidationReport(not failures, failures)
+        return ValidationReport(True, [])
+
+    def _find_isos(self):
+        """The inverse of each iso and the isos out of each object, in one pass."""
+        inverse, out = {}, {x: [] for x in self.objects}
+        for (f, d, c) in self.morphisms:
+            for g in self.hom(c, d):
+                if (self.compose(g, f) == self.identity[d]
+                        and self.compose(f, g) == self.identity[c]):
+                    inverse[f] = g
+                    out[d].append(f)
+                    break
+        self._iso_cache = (inverse, out)
 
     def inverse_of(self, f):
         """Two-sided inverse of f, or None."""
         if self._iso_cache is None:
-            self._iso_cache = {}
-            for (f_, d, c) in self.morphisms:
-                for g in self.hom(c, d):
-                    if (self.compose(g, f_) == self.identity[d]
-                            and self.compose(f_, g) == self.identity[c]):
-                        self._iso_cache[f_] = g
-                        break
-        return self._iso_cache.get(f)
+            self._find_isos()
+        return self._iso_cache[0].get(f)
+
+    def isos_out(self, x):
+        """The isomorphisms with domain x, in morphism order."""
+        if self._iso_cache is None:
+            self._find_isos()
+        return self._iso_cache[1][x]
 
     def reflection(self) -> Reflection:
         """The reflection onto the skeleton of first objects, built on the
@@ -239,13 +251,11 @@ class Functor:
         for x in C.objects:
             if self.mor_map[C.identity[x]] != D.identity[self.obj_map[x]]:
                 failures.append(f"identity of {x} not preserved")
-        for (f, fd, fc) in C.morphisms:
-            for (g, gd, gc) in C.morphisms:
-                if gd != fc:
-                    continue
-                if self.mor_map[C.compose(g, f)] != D.compose(self.mor_map[g], self.mor_map[f]):
-                    failures.append(f"composition not preserved at ({g}, {f})")
-                    return ValidationReport(False, failures)
+        mor, comp = self.mor_map, D.compose_table
+        for (g, f), h in C.compose_table.items():
+            if mor[h] != comp[(mor[g], mor[f])]:
+                failures.append(f"composition not preserved at ({g}, {f})")
+                return ValidationReport(False, failures)
         return ValidationReport(not failures, failures)
 
     def then(self, other: "Functor") -> "Functor":
@@ -266,31 +276,6 @@ class Functor:
 
     def is_surjective_on_objects(self) -> bool:
         return set(self.obj_map[x] for x in self.source.objects) == set(self.target.objects)
-
-    def is_full(self) -> bool:
-        C, D = self.source, self.target
-        for x in C.objects:
-            for y in C.objects:
-                image = {self.mor_map[f] for f in C.hom(x, y)}
-                if not set(D.hom(self.obj_map[x], self.obj_map[y])) <= image:
-                    return False
-        return True
-
-    def is_faithful(self) -> bool:
-        C = self.source
-        for x in C.objects:
-            for y in C.objects:
-                fs = C.hom(x, y)
-                if len({self.mor_map[f] for f in fs}) != len(fs):
-                    return False
-        return True
-
-    def is_dense(self) -> bool:
-        """Essentially surjective: every target object isomorphic to an image."""
-        D = self.target
-        image = [self.obj_map[x] for x in self.source.objects]
-        # an iso i -> y has its inverse y -> i, so one direction suffices
-        return all(any(D.isomorphic_objects(i, y) for i in image) for y in D.objects)
 
 
 def identity_functor(C: FinCat) -> Functor:

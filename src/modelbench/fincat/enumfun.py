@@ -6,6 +6,12 @@ back in a deterministic order (source order x target hom-list order).
 `functors_with` is the one search for functors with prescribed composites
 (w o a = b, p o w = u): mediating maps of pushouts and pullbacks, homotopies
 with given ends, and maps out of a cell stage.
+
+`enumerate_functors` counts one search node per object image tried at each
+object level, over every object map (Σₖ Πᵢ≤ₖ |candidatesᵢ|, counted before
+the search), and at each morphism level entered, its number of candidates,
+every one of which is tried.  GuardExceeded is raised as soon as the count
+passes NODE_BUDGET, so exactly when the whole search would visit more.
 """
 
 from __future__ import annotations
@@ -25,25 +31,26 @@ class GuardExceeded(Exception):
     """Raised when an enumeration would visit more than NODE_BUDGET nodes."""
 
 
-def _composition_buckets(C: FinCat):
-    """The non-identity morphisms of C in order, and for each position p in
-    that order the composable triples (g, f, h=g∘f) over non-identity g, f
-    that become checkable once position p is assigned.  They depend only on
-    C, which is immutable, so they are kept on C as `_comp_buckets` after
-    the first call."""
-    kept = getattr(C, "_comp_buckets", None)
+def _search_plan(C: FinCat):
+    """What the functor search needs of C, kept on C (immutable) after the
+    first call.  Images are held in one value list in the order of `names`:
+    the n non-identity morphisms in order, then each object's identity.
+    `ends[p]` gives the positions in C.objects of morphism p's ends, and
+    `checks[p]` the composable (g, f, g∘f) over non-identity g, f that become
+    checkable once p is assigned, as value positions."""
+    kept = getattr(C, "_search_plan", None)
     if kept is None:
-        idents = set(C.identity.values())
-        free_mors = [m for m in C.morphism_ids if m not in idents]
-        order_index = {m: i for i, m in enumerate(free_mors)}
-        buckets: dict[int, list] = {}
+        at = {x: k for k, x in enumerate(C.objects)}
+        free = [(m, d, c) for (m, d, c) in C.morphisms if m != C.identity[d]]
+        names = [m for m, _, _ in free] + [C.identity[x] for x in C.objects]
+        n = len(free)
+        pos = {m: p for p, m in enumerate(names)}
+        checks = [[] for _ in free]
         for (g, f), h in C.compose_table.items():
-            if g in idents or f in idents:
-                continue
-            ready = max(order_index[g], order_index[f],
-                        order_index[h] if h not in idents else -1)
-            buckets.setdefault(ready, []).append((g, f, h))
-        kept = C._comp_buckets = (free_mors, buckets)
+            pg, pf, ph = pos[g], pos[f], pos[h]
+            if pg < n and pf < n:
+                checks[max(pg, pf, ph if ph < n else -1)].append((pg, pf, ph))
+        kept = C._search_plan = (names, [(at[d], at[c]) for _, d, c in free], checks)
     return kept
 
 
@@ -62,74 +69,73 @@ def forced_images(legs):
 
 
 def enumerate_functors(C: FinCat, D: FinCat, fixed_obj=None, fixed_mor=None):
-    """All functors C -> D, via backtracking over object and morphism images.
+    """All functors C -> D: each object map in `product` order over D's
+    objects, then backtracking over the morphism images in C's order, each
+    tried in D's hom-list order.
 
     fixed_obj / fixed_mor pre-pin images (used to enumerate under
     constraints, e.g. liftings).  Raises GuardExceeded past NODE_BUDGET
-    search nodes.
-    """
-    idents = set(C.identity.values())
-    free_mors, buckets = _composition_buckets(C)
-    fixed_obj = dict(fixed_obj or {})
-    fixed_mor = dict(fixed_mor or {})
-
-    results = []
-    nodes = 0
+    search nodes, counted as the module docstring says."""
+    names, ends, checks = _search_plan(C)
+    n = len(ends)
+    fixed_obj = fixed_obj or {}
     budget = NODE_BUDGET
-    obj_list = list(C.objects)
-
-    def check_bucket(p, obj_map, mor_map):
-        for (g, f, h) in buckets.get(p, ()):
-            expected = (D.identity[obj_map[C.dom[h]]] if h in idents
-                        else mor_map[h])
-            if D.compose(mor_map[g], mor_map[f]) != expected:
-                return False
-        return True
-
-    def assign_mors(p, obj_map, mor_map):
-        nonlocal nodes
-        if p == len(free_mors):
-            full_mor = dict(mor_map)
-            for x in C.objects:
-                full_mor[C.identity[x]] = D.identity[obj_map[x]]
-            results.append(Functor(f"F{len(results)}", C, D, obj_map, full_mor))
-            return
-        m = free_mors[p]
-        candidates = ([fixed_mor[m]] if m in fixed_mor
-                      else D.hom(obj_map[C.dom[m]], obj_map[C.cod[m]]))
-        for c in candidates:
-            nodes += 1
-            if nodes > budget:
-                raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
-            mor_map[m] = c
-            if check_bucket(p, obj_map, mor_map):
-                assign_mors(p + 1, obj_map, dict(mor_map))
-            del mor_map[m]
-
-    def assign_objs(k, obj_map):
-        nonlocal nodes
-        if k == len(obj_list):
-            # fixed morphisms must sit in the right hom sets
-            for m, v in fixed_mor.items():
-                if m in idents:
-                    if v != D.identity[obj_map[C.dom[m]]]:
-                        return
-                elif v not in D.hom(obj_map[C.dom[m]], obj_map[C.cod[m]]):
-                    return
-            assign_mors(0, dict(obj_map), {})
-            return
-        x = obj_list[k]
-        candidates = [fixed_obj[x]] if x in fixed_obj else D.objects
-        for y in candidates:
-            nodes += 1
-            if nodes > budget:
-                raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
-            obj_map[x] = y
-            assign_objs(k + 1, obj_map)
-            del obj_map[x]
-
-    assign_objs(0, {})
+    columns = [[fixed_obj[x]] if x in fixed_obj else D.objects for x in C.objects]
+    nodes, width = 0, 1
+    for column in columns:
+        width *= len(column)
+        nodes += width
+    if nodes > budget:
+        raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
+    # a pinned level has its one candidate from the start; pinned images
+    # must sit in the right hom sets and pinned identities be identities
+    pins, pinned = [None] * n, []
+    if fixed_mor:
+        pins = [(fixed_mor[m],) if m in fixed_mor else None for m in names[:n]]
+        pinned = [(p, fixed_mor[m]) for p, m in enumerate(names) if m in fixed_mor]
+    homs, unit = D._hom, D.identity
+    walk = (n, ends, checks, D.compose_table, homs, budget)
+    count = [nodes]
+    results = []
+    for ys in product(*columns):
+        vals = [None] * n + [unit[y] for y in ys]
+        if pinned and not all(v == vals[p] if p >= n else v in homs.get(
+                (ys[ends[p][0]], ys[ends[p][1]]), ()) for p, v in pinned):
+            continue
+        for images in _morphism_images(0, ys, vals, pins.copy(), walk, count) if n else (vals,):
+            results.append(Functor(f"F{len(results)}", C, D, zip(C.objects, ys),
+                                   zip(names, images)))
     return results
+
+
+def _morphism_images(p, ys, vals, level, walk, count):
+    """Yield `vals` each time positions p.. hold a functor's images under the
+    object map ys.  level[p] keeps the candidates of p once it is entered,
+    count[0] the node count; a level with one candidate stays in this frame."""
+    n, ends, checks, comp, homs, budget = walk
+    while p < n:
+        cands = level[p]
+        if cands is None:
+            d, c = ends[p]
+            cands = level[p] = homs.get((ys[d], ys[c]), ())
+        count[0] += len(cands)
+        if count[0] > budget:
+            raise GuardExceeded(f"functor enumeration exceeded {budget} nodes")
+        if len(cands) != 1:
+            for v in cands:
+                vals[p] = v
+                for g, f, h in checks[p]:
+                    if comp[vals[g], vals[f]] != vals[h]:
+                        break
+                else:
+                    yield from _morphism_images(p + 1, ys, vals, level, walk, count)
+            return
+        vals[p] = cands[0]
+        for g, f, h in checks[p]:
+            if comp[vals[g], vals[f]] != vals[h]:
+                return
+        p += 1
+    yield vals
 
 
 def functors_with(C: FinCat, D: FinCat, before, after):
@@ -142,8 +148,9 @@ def functors_with(C: FinCat, D: FinCat, before, after):
     object x to the y with p(y) = u(x) for every leg, tried in `product`
     order over D's object order, which is the order the unpinned search
     assigns objects in; with no `after` leg an object that `before` does
-    not reach is left to the search.  Those pins fix objects only, so each
-    candidate is checked against every `after` leg."""
+    not reach is left to the search.  Those pins give p(w(x)) = u(x) on
+    objects, so each candidate is checked against every `after` leg on
+    morphisms only."""
     pins = forced_images(before)
     if pins is None:
         return
@@ -155,9 +162,10 @@ def functors_with(C: FinCat, D: FinCat, before, after):
         object_pins = (dict(zip(C.objects, ys)) for ys in product(*fibres))
     else:
         object_pins = [fixed_obj]
+    legs = [(p.mor_map, u.mor_map) for p, u in after]
     for objs in object_pins:
         for w in enumerate_functors(C, D, objs, fixed_mor):
-            if all(w.then(p) == u for p, u in after):
+            if all(pm[v] == um[m] for pm, um in legs for m, v in w.mor_map.items()):
                 yield w
 
 
