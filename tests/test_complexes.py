@@ -6,8 +6,8 @@ import pytest
 from modelbench.complexes import (
     ChainMap,
     Complex,
+    cocycles,
     cohomology,
-    cohomology_map,
     cone,
     identity_chain_map,
     is_quasi_iso,
@@ -192,6 +192,33 @@ def random_bounded_chain_map(rng) -> ChainMap:
     return ChainMap(p.source, A, comps)
 
 
+def image_rank(f: ChainMap, n: int) -> int:
+    """rank[f Z^n(X) | d_Y^(n-1)]: the dimension of f(Z^n(X)) + B^n(Y)."""
+    Y = f.target
+    cols = [f.apply(n, z) for z in cocycles(f.source, n)] + transpose(Y.diff(n - 1))
+    return rank([[c[i] for c in cols] for i in range(Y.dim(n))])
+
+
+def h_rank(f: ChainMap, n: int) -> int:
+    """rank H^n(f) = dim (f(Z^n(X)) + B^n(Y)) - dim B^n(Y)."""
+    return image_rank(f, n) - rank(f.target.diff(n - 1))
+
+
+def ref_c2(f: ChainMap):
+    """c2 and its first failure, deciding H-injectivity at every degree by
+    the general formula dim Z^n(X) - rank H^n(f) = rank d_X^(n-1), which
+    does not assume that Z^n(f) is onto."""
+    X, Y = f.source, f.target
+    for n in X.degrees():
+        zx, zy = cocycles(X, n), cocycles(Y, n)
+        imgs = [f.apply(n, z) for z in zx]
+        if rank([[v[i] for v in imgs] for i in range(Y.dim(n))]) < len(zy):
+            return False, ("Z-surjectivity", n)
+        if len(zx) - h_rank(f, n) != rank(X.diff(n - 1)):
+            return False, ("H-injectivity", n)
+    return True, None
+
+
 def test_200_random_maps_three_criteria_agree():
     rng = random.Random(90127)
     seen_true = seen_false = 0
@@ -201,6 +228,7 @@ def test_200_random_maps_three_criteria_agree():
         assert ok, (trial, fails)
         rep = surj_quas_criteria(f)
         assert rep.all_equal(), (trial, rep)
+        assert (rep.c2, rep.details["c2_failure"]) == ref_c2(f), trial
         if rep.c1:
             seen_true += 1
         else:
@@ -215,12 +243,8 @@ def test_long_exact_sequence_rank_identity():
         X, Y = f.source, f.target
         C = cone(f)
         for n in range(X.lo, X.hi):
-            hm_n = cohomology_map(f, cohomology(X, n), cohomology(Y, n))
-            hm_n1 = cohomology_map(f, cohomology(X, n + 1), cohomology(Y, n + 1))
-            rk_n = rank(hm_n) if hm_n and hm_n[0] else 0
-            rk_n1 = rank(hm_n1) if hm_n1 and hm_n1[0] else 0
-            coker = cohomology(Y, n).h_dim - rk_n
-            ker = cohomology(X, n + 1).h_dim - rk_n1
+            coker = cohomology(Y, n).h_dim - h_rank(f, n)
+            ker = cohomology(X, n + 1).h_dim - h_rank(f, n + 1)
             assert cohomology(C, n).h_dim == coker + ker, (trial, n)
 
 

@@ -43,13 +43,14 @@ from modelbench.complexes import (
     cone,
     is_quasi_iso,
     section_condition,
+    surj_quas_criteria,
 )
 from modelbench.linalg import (column_space_basis, mat_vec, nullspace, rank, rref, shape, solve,
                                transpose, zeros)
 from modelbench.lifting import (Square, find_lifting, find_retract, is_orthogonal,
                                 lifted_squares, small_object_factorization)
 from test_catmodel import axioms_corpus
-from test_complexes import random_bounded_chain_map
+from test_complexes import random_bounded_chain_map, ref_c2
 
 _CATS = list(base_corpus().values())
 FUNCTORS = [F for C in _CATS for D in _CATS for F in enumerate_functors(C, D)]
@@ -884,6 +885,13 @@ def test_one_rref_complement_matches_greedy_rank_loop(f):
         for n in X.degrees():
             z, b = cocycles(X, n), coboundaries(X, n)
             assert _complement_in(z, b, X.dim(n)) == ref_complement_in(z, b, X.dim(n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain_maps)
+def test_c2_matches_the_general_h_injectivity_formula(f):
+    rep = surj_quas_criteria(f)
+    assert (rep.c2, rep.details["c2_failure"]) == ref_c2(f)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
