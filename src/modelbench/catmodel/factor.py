@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fincat import FinCat, Functor, enumerate_functors
-from ..fincat.build import _pair, induced_category, induced_mor
+from ..fincat import FinCat, Functor, NatTransf, enumerate_functors
+from ..fincat.build import induced_category, induced_mor
 from ..fincat.enumfun import functors_with
 from .classify import classify
-from .interval import cylinder, path_object, _iso_triples, _triple
+from .homotopy import eta_to_cylinder_homotopy, eta_to_path_homotopy
+from .interval import cylinder, path_object, _iso_triples
 
 
 @dataclass
@@ -94,23 +95,16 @@ class UniversalCheck:
 
 
 def _pushout_homotopy(F: Functor, fac: CylinderFactorization) -> Functor:
-    """The remark homotopy H: C x I -> D' of the pushout square, constant at
-    F(f) in the interval direction, with (x, 0) -> tgt/F(x) and
-    (x, 1) -> src/x; checked to be a functor that closes the square."""
+    """The remark homotopy H: C x I -> D' of the pushout square: the
+    cylinder homotopy of eta: inc o F => j with eta_x the morphism
+    tgt/F(x) -> src/x over id_F(x); checked to close the square."""
+    incF = F.then(fac.inc)
+    ident = F.target.identity
+    H = eta_to_cylinder_homotopy(NatTransf(incF, fac.j, {
+        x: induced_mor(incF.obj_map[x], fac.j.obj_map[x], ident[F.obj_map[x]])
+        for x in F.source.objects}))
     cyl = cylinder(F.source)
-    h_obj = {}
-    for x in F.source.objects:
-        h_obj[_pair(x, "0")] = f"tgt/{F.obj_map[x]}"
-        h_obj[_pair(x, "1")] = f"src/{x}"
-    h_mor = {}
-    for (pm, pd, pc) in cyl.cyl.morphisms:
-        # product morphism (f, w): image is represented by F(f)
-        f = cyl.pr.mor_map[pm]
-        h_mor[pm] = induced_mor(h_obj[pd], h_obj[pc], F.mor_map[f])
-    H = Functor("H", cyl.cyl, fac.dprime, h_obj, h_mor)
-    if not H.validate().ok:
-        raise AssertionError("remark homotopy H is not a functor")
-    if F.then(fac.inc) != cyl.iota0.then(H):
+    if incF != cyl.iota0.then(H):
         raise AssertionError("pushout square does not commute")
     # the equational chain recovers F = p o j
     if fac.j.then(fac.p) != F or cyl.iota1.then(H).then(fac.p) != F:
@@ -139,21 +133,15 @@ def cylinder_pushout_check(F: Functor, test_categories) -> UniversalCheck:
 
 
 def _pullback_homotopy(F: Functor, fac: CocylinderFactorization, path) -> Functor:
-    """The remark homotopy K: C' -> Hom(I, D) of the pullback square, sending
-    the triple (c, alpha, d) to (F(c), alpha, d); checked to be a functor
-    that closes the square."""
-    k_obj = {}
-    k_mor = {}
-    for t in fac.cprime.objects:
-        (c, a, d) = fac.triple_data[t]
-        k_obj[t] = _triple(F.obj_map[c], a, d)
-    for (m, t1, t2) in fac.cprime.morphisms:
-        k_mor[m] = induced_mor(k_obj[t1], k_obj[t2], F.mor_map[fac.pr1.mor_map[m]])
-    K = Functor("K", fac.cprime, path.path_cat, k_obj, k_mor)
-    if not K.validate().ok:
-        raise AssertionError("remark homotopy K is not a functor")
+    """The remark homotopy K: C' -> Hom(I, D) of the pullback square: the
+    path homotopy of eta: F o pr1 => q with eta_t the alpha of the triple
+    t = (c, alpha, d), so K(t) = (F(c), alpha, d); checked to close the
+    square."""
+    Fpr1 = fac.pr1.then(F)
+    K = eta_to_path_homotopy(NatTransf(Fpr1, fac.q, {
+        t: a for t, (_, a, _) in fac.triple_data.items()}))
     # square p0 o K = F o pr1
-    if K.then(path.p0) != fac.pr1.then(F):
+    if K.then(path.p0) != Fpr1:
         raise AssertionError("pullback square does not commute")
     # equational chain: q = p1 K recovers F = q iota
     if K.then(path.p1) != fac.q:

@@ -7,9 +7,11 @@ are still flagged on cohomology output: when the data is a truncation of
 something larger those slices are not trustworthy.
 
 Only what a criterion reads is built: `cone` returns the cone's complex,
-whose differential is all that `is_quasi_iso` reads, and each cohomology
-slice carries the cocycle and coboundary bases it was reduced from, so
-`cohomology_map` reduces nothing twice.
+whose differential is all that `is_quasi_iso` reads, and a cohomology slice
+is a dimension, h^n = dim Z^n - rank d^(n-1), with the cocycle basis that
+c2 maps forward.  c2 asks only whether Z^n(f) is onto and H^n(f) is
+injective, which once Z^n(f) is onto is a comparison of dimensions, so no
+cohomology class or map of cohomology is built.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from fractions import Fraction
 from .linalg import (
     Mat,
     Vec,
-    _integer_rref,
-    column_space_basis,
     frac,
     mat_mul,
     mat_vec,
@@ -154,11 +154,9 @@ def identity_chain_map(X: Complex) -> ChainMap:
 @dataclass
 class CohomologySlice:
     degree: int
-    h_dim: int
-    representatives: list      # basis vectors of a complement of B in Z
+    h_dim: int                 # dim Z^n - rank d^(n-1)
     boundary_degree: bool      # slice sits at the window boundary
     cocycles: list             # basis of Z^n, one vector per free column of d^n
-    coboundaries: list         # basis of B^n, the pivot columns of d^(n-1)
 
 
 def cocycles(X: Complex, n: int) -> list[Vec]:
@@ -167,69 +165,12 @@ def cocycles(X: Complex, n: int) -> list[Vec]:
     return nullspace(X.diff(n), width=X.dim(n))
 
 
-def coboundaries(X: Complex, n: int) -> list[Vec]:
-    if X.dim(n) == 0 or X.dim(n - 1) == 0:
-        return []
-    return column_space_basis(X.diff(n - 1))
-
-
-def _complement_in(space_basis, sub_basis, dim):
-    """Representatives extending sub_basis to span(space_basis): the
-    space_basis vectors at the pivot columns of one reduction of the
-    columns [sub | space], whose pivots alone are read.  A pivot column is
-    one outside the span of the columns before it, so these are the vectors
-    a greedy rank loop keeps, in order, provided sub_basis is independent
-    (coboundaries returns pivot columns)."""
-    if not space_basis:
-        return []
-    cols = list(sub_basis) + list(space_basis)
-    _, pivots, _ = _integer_rref([[v[i] for v in cols] for i in range(dim)])
-    k = len(sub_basis)
-    return [space_basis[pc - k] for pc in pivots if pc >= k]
-
-
 def cohomology(X: Complex, n: int) -> CohomologySlice:
     if not (X.lo <= n <= X.hi):
         raise ValueError(f"degree {n} outside window {X.window}")
-    return _slice(X, n, cocycles(X, n))
-
-
-def _slice(X: Complex, n: int, z: list[Vec]) -> CohomologySlice:
-    """The degree-n slice of X around its cocycle basis z = cocycles(X, n)."""
-    b = coboundaries(X, n)
-    # B lies in Z, so equal dimensions leave no complement to reduce for
-    return CohomologySlice(
-        degree=n, h_dim=len(z) - len(b),
-        representatives=_complement_in(z, b, X.dim(n)) if len(z) > len(b) else [],
-        boundary_degree=n in (X.lo, X.hi), cocycles=z, coboundaries=b)
-
-
-def cohomology_map(f: ChainMap, sx: CohomologySlice, sy: CohomologySlice) -> Mat:
-    """Matrix of H^n(f) in the representative bases of the slices sx of
-    f.source and sy of f.target at one degree n, from one solve against
-    the coboundaries and representatives of sy."""
-    if sx.degree != sy.degree:
-        raise ValueError(f"slices of degrees {sx.degree} and {sy.degree}")
-    n = sx.degree
-    by = sy.coboundaries
-    basis = [list(v) for v in by] + [list(v) for v in sy.representatives]
-    imgs = [f.apply(n, z) for z in sx.representatives]
-    if not basis:
-        if any(any(img) for img in imgs):
-            raise AssertionError("image of a cocycle escaped the target")
-        out = [[] for _ in imgs]
-    else:
-        m = [[basis[j][i] for j in range(len(basis))] for i in range(f.target.dim(n))]
-        coeffs = solve(m, imgs)
-        if any(c is None for c in coeffs):
-            raise AssertionError("cocycle image not a cocycle")
-        out = [c[len(by):] for c in coeffs]
-    # columns index source representatives
-    h = zeros(sy.h_dim, sx.h_dim)
-    for j, col in enumerate(out):
-        for i, x in enumerate(col):
-            h[i][j] = x
-    return h
+    z = cocycles(X, n)
+    return CohomologySlice(degree=n, h_dim=len(z) - rank(X.diff(n - 1)),
+                           boundary_degree=n in (X.lo, X.hi), cocycles=z)
 
 
 # -- cones --------------------------------------------------------------------
@@ -323,34 +264,32 @@ def surj_quas_criteria(f: ChainMap) -> SurjQuasReport:
     lo, hi = X.window
     c1 = is_surjective(f) and is_quasi_iso(f)
 
-    c2 = True
     c2_fail = None
+    rank_y = 0              # rank d_Y^(n-1); Y vanishes outside its window
+    # Z^n(f) onto makes H^n(f) onto, so H^n(f) is then injective exactly
+    # when dim H^n(X) = dim H^n(Y)
     for n in X.degrees():
-        sx, zy = cohomology(X, n), cocycles(Y, n)
+        sx = cohomology(X, n)
+        rank_prev, rank_y = rank_y, rank(Y.diff(n))
+        zy = Y.dim(n) - rank_y
         if zy:
             imgs = [f.apply(n, v) for v in sx.cocycles]
             m = [[imgs[j][i] for j in range(len(imgs))] for i in range(Y.dim(n))]
-            if rank(m) < len(zy):
-                c2 = False
+            if rank(m) < zy:
                 c2_fail = ("Z-surjectivity", n)
                 break
-        if sx.h_dim:
-            # Y's coboundaries and complement are read only here
-            h = cohomology_map(f, sx, _slice(Y, n, zy))
-            injective = bool(h) and len(h[0]) == sx.h_dim and not nullspace(h)
-            if not injective:
-                c2 = False
-                c2_fail = ("H-injectivity", n)
-                break
+        if sx.h_dim and zy - rank_prev != sx.h_dim:
+            c2_fail = ("H-injectivity", n)
+            break
+    c2 = c2_fail is None
 
-    c3 = True
     c3_fail = None
     for n in range(lo - 1, hi + 1):
         ok, info = section_condition(f, n)
         if not ok:
-            c3 = False
             c3_fail = ("section", n, info)
             break
+    c3 = c3_fail is None
 
     return SurjQuasReport(c1, c2, c3,
                           {"c2_failure": c2_fail, "c3_failure": c3_fail})

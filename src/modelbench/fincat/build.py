@@ -70,7 +70,7 @@ def product(C: FinCat, D: FinCat, name=None) -> FinCat:
     return FinCat(name or f"{C.name}x{D.name}", objs, mors, ident, comp)
 
 
-def coproduct(C: FinCat, D: FinCat, name=None) -> FinCat:
+def coproduct(C: FinCat, D: FinCat) -> FinCat:
     lo = {x: f"left/{x}" for x in C.objects}
     lm = {m: f"left/{m}" for m in C.morphism_ids}
     ro = {x: f"right/{x}" for x in D.objects}
@@ -82,7 +82,7 @@ def coproduct(C: FinCat, D: FinCat, name=None) -> FinCat:
     ident.update({ro[x]: rm[D.identity[x]] for x in D.objects})
     comp = {(lm[g], lm[f]): lm[h] for (g, f), h in C.compose_table.items()}
     comp.update({(rm[g], rm[f]): rm[h] for (g, f), h in D.compose_table.items()})
-    return FinCat(name or f"{C.name}+{D.name}", objs, mors, ident, comp)
+    return FinCat(f"{C.name}+{D.name}", objs, mors, ident, comp)
 
 
 def induced_mor(x, y, d):

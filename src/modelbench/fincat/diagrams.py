@@ -450,19 +450,19 @@ def parallel_pair_shape() -> FinCat:
     return free_category("pair", ["a", "b"], [("u", "a", "b"), ("v", "a", "b")])
 
 
-def pushout_diagram(F: Functor, G: Functor, name="pushout") -> CatDiagram:
+def pushout_diagram(F: Functor, G: Functor) -> CatDiagram:
     """Diagram for the pushout of B <-F- A -G-> C."""
     if F.source != G.source:
         raise ValueError("pushout legs must share their source")
-    return CatDiagram(name, span_shape(),
+    return CatDiagram("pushout", span_shape(),
                       {"s": F.source, "l": F.target, "r": G.target},
                       {"f": F, "g": G})
 
 
-def coequalizer_diagram(F: Functor, G: Functor, name="coeq") -> CatDiagram:
+def coequalizer_diagram(F: Functor, G: Functor) -> CatDiagram:
     if F.source != G.source or F.target != G.target:
         raise ValueError("parallel functors required")
-    return CatDiagram(name, parallel_pair_shape(),
+    return CatDiagram("coeq", parallel_pair_shape(),
                       {"a": F.source, "b": F.target}, {"u": F, "v": G})
 
 

@@ -3,39 +3,38 @@
 The checkers run over one ambient, `catmodel.CatAmbient`: morphisms are
 functors, and it supplies equality, composition, identities, enumeration
 of the functors between two categories, int tables of composites, and the
-memoized orthogonality and section pairs.  Every witness holds its ambient
-and re-verifies itself against it alone.  `search.lifted_squares` builds
-the `Square`s of a pair (f, g) and decides which have a diagonal, which is
-all the checkers ask; `search.find_lifting` searches one given square for
-its diagonal, a witness that no checker builds.
+memoized orthogonality and section pairs.  A `Square` and its `LiftWitness`
+re-verify by composing functors; the other witnesses hold their ambient
+and re-verify against it alone.  `search.lifted_squares` builds the
+`Square`s of a pair (f, g) and decides which have a diagonal, which is all
+the checkers ask; `search.find_lifting` searches one given square for its
+diagonal, a witness that no checker builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..fincat import Functor
 
 
 @dataclass
 class Square:
-    """Commuting square: right o top = bottom o left, with `left` the
-    morphism lifted against `right`."""
+    """Commuting square of functors: right o top = bottom o left, with
+    `left` the functor lifted against `right`.  It holds no ambient, so a
+    square kept in an ambient's memo does not keep the ambient alive."""
 
-    ambient: object
-    left: object
-    right: object
-    top: object
-    bottom: object
+    left: Functor
+    right: Functor
+    top: Functor
+    bottom: Functor
 
     def commutes(self) -> bool:
-        a = self.ambient
-        return a.equal(a.compose(self.right, self.top),
-                       a.compose(self.bottom, self.left))
+        return self.top.then(self.right) == self.left.then(self.bottom)
 
-    def admits(self, h) -> bool:
+    def admits(self, h: Functor) -> bool:
         """Do the two triangles commute for the candidate diagonal h?"""
-        a = self.ambient
-        return (a.equal(a.compose(h, self.left), self.top)
-                and a.equal(a.compose(self.right, h), self.bottom))
+        return self.left.then(h) == self.top and h.then(self.right) == self.bottom
 
 
 @dataclass
@@ -78,7 +77,7 @@ class CellStage:
     attachments: list
     result: object
     inclusion: object
-    cell_maps: list = field(default_factory=list)
+    cell_maps: list
 
 
 @dataclass

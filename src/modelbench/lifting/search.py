@@ -27,16 +27,16 @@ from .core import LiftWitness, RetractWitness, Square
 @dataclass
 class OrthogonalityResult:
     orthogonal: bool
-    counterexample: Square | None = None
-    squares_checked: int = 0
+    counterexample: Square | None
+    squares_checked: int
 
 
-def find_lifting(square: Square) -> LiftWitness | None:
+def find_lifting(a, square: Square) -> LiftWitness | None:
     """A verified diagonal for the square, or None after exhausting the
     ambient's lift candidates."""
     if not square.commutes():
         raise ValueError("square does not commute")
-    for h in square.ambient.lift_candidates(square):
+    for h in a.lift_candidates(square):
         if square.admits(h):
             return LiftWitness(square, h)
     return None
@@ -63,7 +63,7 @@ def lifted_squares(a, f, g):
             if lifts is None:
                 lifts = set(zip(a.pre(f, X), a.post(g, B)))
             bottom = bottoms[k]
-            yield Square(a, f, g, top, bottom), (a.id_of(top), a.id_of(bottom)) in lifts
+            yield Square(f, g, top, bottom), (a.id_of(top), a.id_of(bottom)) in lifts
 
 
 def is_orthogonal(a, f, g) -> OrthogonalityResult:

@@ -6,8 +6,8 @@ pivots are chosen left to right, candidate rows top to bottom.
 `_integer_rref` is the only reduction; callers with several questions about
 one matrix ask them in one call (`solve` takes every right-hand side at
 once) so the matrix is reduced once, not once per vector.  `rref` divides
-the reduced rows into Fractions; `rank`, `column_space_basis` and
-`complexes._complement_in` read only the pivots and build no Fraction.
+the reduced rows into Fractions; `rank` reads only the pivots and builds
+no Fraction.
 
 The reduction eliminates fraction-free over Python ints (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
@@ -185,9 +185,3 @@ def solve(a: Mat, bs: list[Vec]) -> list[Vec | None]:
         out.append(x)
     return out
 
-
-def column_space_basis(a: Mat) -> list[Vec]:
-    """Columns of `a` forming a basis of its image (original columns)."""
-    _, pivots, _ = _integer_rref(a)
-    cols = transpose(a)
-    return [cols[j] for j in pivots]

@@ -110,7 +110,7 @@ def test_constructive_lift_inc0_vs_pr():
     bottom = Functor("bot", interval_category(), one,
                      {"0": "*", "1": "*"},
                      {m: "id_*" for m in interval_category().morphism_ids})
-    sq = Square(AMB, F, pr, top, bottom)
+    sq = Square(F, pr, top, bottom)
     assert sq.commutes()
     w = lift_acyclic_injection_vs_isofibration(sq)
     assert w.verify()
@@ -119,7 +119,7 @@ def test_constructive_lift_inc0_vs_pr():
 def test_constructive_lift_identity_square():
     I = interval_category()
     f = identity_functor(I)
-    sq = Square(AMB, f, f, f, f)
+    sq = Square(f, f, f, f)
     w = lift_acyclic_injection_vs_isofibration(sq)
     assert w.verify()
     w2 = lift_injection_vs_acyclic_isofibration(sq)
@@ -127,7 +127,7 @@ def test_constructive_lift_identity_square():
 
 
 def test_constructive_lift_precondition_errors():
-    sq = Square(AMB, k0_to_k1(), k2_to_k1(),
+    sq = Square(k0_to_k1(), k2_to_k1(),
                 identity_functor(k_category(0)).then(
                     Functor("z", k_category(0), k_category(2),
                             {"0": "0", "1": "1"}, {"id_0": "id_0", "id_1": "id_1"})),
@@ -161,7 +161,7 @@ def test_constructive_lifts_agree_with_brute_force():
     for f in acyclic_injections[:12]:
         for g in isofibs[:12]:
             for sq in _all_squares(f, g)[:4]:
-                brute = find_lifting(sq)
+                brute = find_lifting(AMB, sq)
                 assert brute is not None
                 w = lift_acyclic_injection_vs_isofibration(sq)
                 assert w.verify()
@@ -181,7 +181,7 @@ def test_constructive_lift_injection_vs_acyclic_isofib_agrees():
     for f in injections[:10]:
         for g in acyclic_isofibs[:10]:
             for sq in _all_squares(f, g)[:3]:
-                assert find_lifting(sq) is not None
+                assert find_lifting(AMB, sq) is not None
                 w = lift_injection_vs_acyclic_isofibration(sq)
                 assert w.verify()
                 checked += 1
@@ -207,7 +207,7 @@ def test_mc4_squares_lift_by_table_search_and_construction():
             for sq, lifted in lifted_squares(amb, f, g):
                 squares += 1
                 assert lifted
-                assert find_lifting(sq) is not None
+                assert find_lifting(amb, sq) is not None
                 if left:
                     assert lift_acyclic_injection_vs_isofibration(sq).verify()
                     constructed["acyclic_injection"] += 1

@@ -192,16 +192,12 @@ def random_bounded_chain_map(rng) -> ChainMap:
     return ChainMap(p.source, A, comps)
 
 
-def image_rank(f: ChainMap, n: int) -> int:
-    """rank[f Z^n(X) | d_Y^(n-1)]: the dimension of f(Z^n(X)) + B^n(Y)."""
+def h_rank(f: ChainMap, n: int) -> int:
+    """rank H^n(f) = rank[f Z^n(X) | d_Y^(n-1)] - rank d_Y^(n-1), the
+    dimension of f(Z^n(X)) + B^n(Y) less that of B^n(Y)."""
     Y = f.target
     cols = [f.apply(n, z) for z in cocycles(f.source, n)] + transpose(Y.diff(n - 1))
-    return rank([[c[i] for c in cols] for i in range(Y.dim(n))])
-
-
-def h_rank(f: ChainMap, n: int) -> int:
-    """rank H^n(f) = dim (f(Z^n(X)) + B^n(Y)) - dim B^n(Y)."""
-    return image_rank(f, n) - rank(f.target.diff(n - 1))
+    return rank([[c[i] for c in cols] for i in range(Y.dim(n))]) - rank(Y.diff(n - 1))
 
 
 def ref_c2(f: ChainMap):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -46,17 +48,17 @@ def test_lift_along_iso_left_leg():
     g = Functor("collapse", I, unit_category(),
                 {"0": "*", "1": "*"},
                 {m: "id_*" for m in I.morphism_ids})
-    sq = Square(AMB, f, g, identity_functor(I), g)
-    w = find_lifting(sq)
+    sq = Square(f, g, identity_functor(I), g)
+    w = find_lifting(AMB, sq)
     assert w is not None and w.verify()
 
 
 def test_identity_square_on_non_iso_has_no_self_lift():
     # a lifting in the identity square against f itself is an inverse of f
     f = k2_to_k1()
-    sq = Square(AMB, f, f, identity_functor(f.source), identity_functor(f.target))
+    sq = Square(f, f, identity_functor(f.source), identity_functor(f.target))
     assert sq.commutes()
-    assert find_lifting(sq) is None
+    assert find_lifting(AMB, sq) is None
 
 
 def test_f_perp_f_implies_iso_on_corpus():
@@ -283,7 +285,7 @@ def test_small_object_factorization_with_j_factors_every_corpus_functor():
         assert classify(res.i).acyclic_injection, F
         assert classify(res.p).isofibration, F
         fac = functor_cocylinder_factorization(F)
-        lift = find_lifting(Square(amb, fac.iota, res.p, res.i, fac.q))
+        lift = find_lifting(amb, Square(fac.iota, res.p, res.i, fac.q))
         assert lift is not None and lift.verify(), F
         assert classify(lift.h).equivalence, F
     assert (stages.count(0), stages.count(1)) == (85, 20)
@@ -331,6 +333,22 @@ def test_model_axioms_reused_ambient_matches_fresh():
                                factorizations=mc5_factorizations)
     summary = lambda r: [(e.axiom, e.status, e.detail) for e in r.entries]
     assert summary(again) == summary(fresh)
+
+
+def test_finished_ambient_is_freed_at_del_without_the_cycle_collector():
+    # a memoized counterexample square holds no ambient, so nothing that the
+    # ambient keeps refers back to it
+    amb = CatAmbient()
+    check_model_axioms(amb, cat_triple(), small_corpus_functors(),
+                       factorizations=mc5_factorizations)
+    assert any(not res.orthogonal for res in amb._orth_memo.values())
+    ref = weakref.ref(amb)
+    gc.disable()
+    try:
+        del amb
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_classify_is_kept_on_the_functor():

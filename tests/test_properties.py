@@ -11,7 +11,8 @@ against the scans over every functor they replaced, and the maps out of a
 cell stage against fill-by-composition; `saturate` on integer path ids of
 the arrow quotient against the closure on the (src, arrows) keys of every
 path that it replaced; the one-reduction linear algebra of `complexes`
-against the per-vector routes it replaced; and the fraction-free `rref`,
+against the per-vector routes it replaced, and its c2 against the general
+rank formula for an injective H^n(f); and the fraction-free `rref`,
 with every reading taken from it, against Fraction Gauss-Jordan elimination."""
 
 import random
@@ -35,18 +36,13 @@ from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import base_corpus, full_corpus, jordan_quiver
 from modelbench.fincat.enumfun import forced_images, functors_with, natural_isos
 from modelbench.complexes import (
-    _complement_in,
-    coboundaries,
-    cocycles,
     cohomology,
-    cohomology_map,
     cone,
     is_quasi_iso,
     section_condition,
     surj_quas_criteria,
 )
-from modelbench.linalg import (column_space_basis, mat_vec, nullspace, rank, rref, shape, solve,
-                               transpose, zeros)
+from modelbench.linalg import mat_vec, nullspace, rank, rref, shape, solve
 from modelbench.lifting import (Square, find_lifting, find_retract, is_orthogonal,
                                 lifted_squares, small_object_factorization)
 from test_catmodel import axioms_corpus
@@ -112,7 +108,7 @@ def ref_squares(a, f, g):
         gt = a.compose(g, top)
         for bottom, bf in bottoms_f:
             if a.equal(gt, bf):
-                yield Square(a, f, g, top, bottom)
+                yield Square(f, g, top, bottom)
 
 
 def ref_is_orthogonal(a, f, g):
@@ -122,7 +118,7 @@ def ref_is_orthogonal(a, f, g):
     checked = 0
     for sq in ref_squares(a, f, g):
         checked += 1
-        if find_lifting(sq) is None:
+        if find_lifting(a, sq) is None:
             return False, checked, sq
     return True, checked, None
 
@@ -150,7 +146,7 @@ def test_attachment_squares_are_the_squares_search_cannot_lift(p):
     gens = generating_cofibrations()
     a = CatAmbient()
     want = [(gen, sq.top, sq.bottom) for gen in gens
-            for sq in ref_squares(a, gen, p) if find_lifting(sq) is None]
+            for sq in ref_squares(a, gen, p) if find_lifting(a, sq) is None]
     assert CatAmbient().attachment_squares(gens, p) == want
 
 
@@ -163,7 +159,7 @@ def test_orthogonality_table_matches_search_on_the_axioms_corpus():
     squares = unlifted = 0
     for f in corpus:
         for g in corpus:
-            want = [(sq.top, sq.bottom, find_lifting(sq) is not None)
+            want = [(sq.top, sq.bottom, find_lifting(a, sq) is not None)
                     for sq in ref_squares(a, f, g)]
             assert [(sq.top, sq.bottom, lifted)
                     for sq, lifted in lifted_squares(a, f, g)] == want
@@ -240,7 +236,7 @@ def test_table_and_retracts_match_the_search_on_non_invertible_endomorphisms():
     squares = 0
     for f in corpus:
         for g in corpus:
-            want = [(sq.top, sq.bottom, find_lifting(sq) is not None)
+            want = [(sq.top, sq.bottom, find_lifting(a, sq) is not None)
                     for sq in ref_squares(a, f, g)]
             assert [(sq.top, sq.bottom, lifted)
                     for sq, lifted in lifted_squares(a, f, g)] == want
@@ -750,7 +746,7 @@ def test_fraction_free_rref_matches_fraction_gauss_jordan(a):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rational_matrices())
-def test_rank_nullspace_and_column_space_match_their_ref_rref_readings(a):
+def test_rank_and_nullspace_match_their_ref_rref_readings(a):
     r, pivots = ref_rref(a)
     n = shape(a)[1]
     basis = []
@@ -762,7 +758,6 @@ def test_rank_nullspace_and_column_space_match_their_ref_rref_readings(a):
         basis.append(v)
     assert rank(a) == len(pivots)
     assert nullspace(a) == basis
-    assert column_space_basis(a) == [transpose(a)[j] for j in pivots]
 
 
 # -- complexes: one reduction per matrix against one per vector -------------
@@ -782,20 +777,6 @@ def ref_solve(a, b):
     for i, pc in enumerate(pivots):
         x[pc] = r[i][n]
     return x
-
-
-def ref_complement_in(space_basis, sub_basis, dim):
-    """The greedy rank loop that the one-rref complement replaced."""
-    if not space_basis:
-        return []
-    cols = [list(v) for v in sub_basis]
-    reps = []
-    for z in space_basis:
-        candidate = cols + [list(v) for v in reps] + [list(z)]
-        m = [[candidate[j][i] for j in range(len(candidate))] for i in range(dim)]
-        if rank(m) > len(cols) + len(reps):
-            reps.append(z)
-    return reps
 
 
 def ref_section_condition(f, n):
@@ -821,26 +802,6 @@ def ref_section_condition(f, n):
         span_rows.append([f.component(n)[i][j] for j in range(X.dim(n))])
     unsolved = [v for v in pairs if ref_solve(span_rows, v) is None]
     return (not unsolved, {"pairs": len(pairs), "unsolved": unsolved})
-
-
-def ref_cohomology_map(f, n):
-    """cohomology_map with one solve per source representative."""
-    sx = cohomology(f.source, n)
-    sy = cohomology(f.target, n)
-    by = coboundaries(f.target, n)
-    basis = [list(v) for v in by] + [list(v) for v in sy.representatives]
-    h = zeros(sy.h_dim, sx.h_dim)
-    for j, z in enumerate(sx.representatives):
-        img = f.apply(n, z)
-        if not basis:
-            assert not any(img)
-            continue
-        m = [[basis[k][i] for k in range(len(basis))] for i in range(f.target.dim(n))]
-        coeffs = ref_solve(m, img)
-        assert coeffs is not None
-        for i, x in enumerate(coeffs[len(by):]):
-            h[i][j] = x
-    return h
 
 
 @st.composite
@@ -879,16 +840,6 @@ def test_multi_rhs_solve_matches_single_vector_solve(system):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(chain_maps)
-def test_one_rref_complement_matches_greedy_rank_loop(f):
-    C = cone(f)
-    for X in (f.source, f.target, C):
-        for n in X.degrees():
-            z, b = cocycles(X, n), coboundaries(X, n)
-            assert _complement_in(z, b, X.dim(n)) == ref_complement_in(z, b, X.dim(n))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(chain_maps)
 def test_c2_matches_the_general_h_injectivity_formula(f):
     rep = surj_quas_criteria(f)
     assert (rep.c2, rep.details["c2_failure"]) == ref_c2(f)
@@ -903,10 +854,7 @@ def test_rank_formula_quasi_iso_matches_cone_cohomology(f):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(chain_maps)
-def test_batched_section_condition_and_cohomology_map_match_per_vector(f):
+def test_batched_section_condition_matches_per_vector(f):
     lo, hi = f.source.window
     for n in range(lo - 1, hi + 1):
         assert section_condition(f, n) == ref_section_condition(f, n)
-    for n in f.source.degrees():
-        sx, sy = cohomology(f.source, n), cohomology(f.target, n)
-        assert cohomology_map(f, sx, sy) == ref_cohomology_map(f, n)
