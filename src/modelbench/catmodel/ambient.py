@@ -10,11 +10,12 @@ from ..lifting.search import OrthogonalityResult, is_orthogonal, lifted_squares
 
 
 class CatAmbient:
-    """Morphisms are functors between finite categories; everything is
-    enumerable, and functor sets are cached per (source, target) pair.
-    Functors and categories are hashable with `==` agreeing with `equal`
-    (each keeps its value hash on the instance), so the derived facts below
-    are memoized per value for the life of the ambient.
+    """What the lifting checkers memoize, which they otherwise read off the
+    functors: the functors of each Hom set, int tables of composites, one
+    instance per composite value, the orthogonality results and the section
+    pairs, kept per value (functors and categories keep their value hash)
+    for the life of the ambient; and the cell operations of the small
+    object argument.  No witness or factorization refers back to it.
 
     The lifting and retract searches compare functors as ints.  `_ids` maps
     each functor's value `key` (its morphism images in source order) to an
@@ -30,7 +31,9 @@ class CatAmbient:
     and enumerates no Hom set but the one it is indexed by.  `_section_memo`
     keeps the section pairs of each object pair as index pairs, and
     `_composites` keeps one instance per composite value, so facts kept on a
-    composite (its classification) are computed once."""
+    composite (its classification) are computed once.  `equal` is `==`;
+    nothing in the package calls it, but the benchmark's cells workload
+    does."""
 
     def __init__(self):
         self._fun_cache: dict = {}
@@ -54,21 +57,6 @@ class CatAmbient:
         if gf is None:
             gf = self._composites[key] = f.then(g)
         return gf
-
-    def identity(self, obj: FinCat) -> Functor:
-        return identity_functor(obj)
-
-    def dom(self, f: Functor) -> FinCat:
-        return f.source
-
-    def cod(self, f: Functor) -> FinCat:
-        return f.target
-
-    def is_iso(self, f: Functor) -> bool:
-        images = set(f.mor_map.values())
-        return (f.is_injective_on_objects() and f.is_surjective_on_objects()
-                and len(images) == len(f.source.morphisms)
-                and len(images) == len(f.target.morphisms))
 
     def morphisms_between(self, x: FinCat, y: FinCat):
         key = (x, y)
@@ -170,7 +158,7 @@ class CatAmbient:
         key = (x, x2)
         pairs = self._section_memo.get(key)
         if pairs is None:
-            idx = self.id_of(self.identity(x))
+            idx = self.id_of(identity_functor(x))
             pairs = self._section_memo[key] = [
                 (k, n)
                 for k, i in enumerate(self.morphisms_between(x, x2))

@@ -268,15 +268,6 @@ class Functor:
             {m: other.mor_map[n] for m, n in self.mor_map.items()},
         )
 
-    # structural predicates (used everywhere downstream)
-
-    def is_injective_on_objects(self) -> bool:
-        vals = [self.obj_map[x] for x in self.source.objects]
-        return len(vals) == len(set(vals))
-
-    def is_surjective_on_objects(self) -> bool:
-        return set(self.obj_map[x] for x in self.source.objects) == set(self.target.objects)
-
 
 def identity_functor(C: FinCat) -> Functor:
     return Functor(f"Id_{C.name}", C, C,

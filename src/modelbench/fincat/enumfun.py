@@ -226,7 +226,7 @@ def find_category_isomorphism(C: FinCat, D: FinCat):
     if homprofile(C) != homprofile(D):
         return None
     return next((F for F in enumerate_functors(C, D)
-                 if F.is_injective_on_objects() and F.is_surjective_on_objects()
+                 if len(set(F.obj_map.values())) == len(D.objects)
                  and len(set(F.mor_map.values())) == len(D.morphisms)), None)
 
 

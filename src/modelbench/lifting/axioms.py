@@ -1,15 +1,16 @@
 """Finite-corpus verification of the model axioms MC1-MC5.
 
-A corpus is a finite list of morphisms of the ambient.  MC1-MC4 are checked
-exhaustively over the corpus; MC5 through the ambient's factorization
-constructors with class membership re-verified.  The orthogonality
-description of cofibrations is sampled against the corpus (a finite corpus
-can confirm failures of Cof membership only when it happens to separate)."""
+A corpus is a finite list of functors.  MC1-MC4 are checked exhaustively
+over the corpus; MC5 through the supplied factorization constructors with
+class membership re-verified.  The orthogonality description of
+cofibrations is sampled against the corpus (a finite corpus can confirm
+failures of Cof membership only when it happens to separate)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..fincat.core import identity_functor
 from .core import ModelTriple
 from .search import find_retract
 
@@ -44,19 +45,19 @@ def _classes(triple: ModelTriple):
 
 def check_model_axioms(a, triple: ModelTriple, corpus,
                        factorizations=None) -> ModelAxiomReport:
-    """corpus: finite list of morphisms.  `factorizations(f)` returns
+    """corpus: finite list of functors.  `factorizations(f)` returns
     ((i, p), (j, q)) realizing MC5 for f, or None to skip MC5 for f."""
     report = ModelAxiomReport()
 
     # MC1: identities and closure under composition
     objs = []
     for f in corpus:
-        for ob in (a.dom(f), a.cod(f)):
+        for ob in (f.source, f.target):
             if all(ob is not o for o in objs):
                 objs.append(ob)
     bad = None
     for ob in objs:
-        idm = a.identity(ob)
+        idm = identity_functor(ob)
         for cname, ctest in _classes(triple):
             if not ctest(idm):
                 bad = (cname, ob)
@@ -84,7 +85,7 @@ def check_model_axioms(a, triple: ModelTriple, corpus,
     pairs = 0
     for f, rf in zip(corpus, rows):
         for g, rg in zip(corpus, rows):
-            if a.cod(f) is not a.dom(g) and a.cod(f) != a.dom(g):
+            if f.target is not g.source and f.target != g.source:
                 continue
             gf = a.compose(g, f)
             pairs += 1
@@ -168,7 +169,7 @@ def check_model_axioms(a, triple: ModelTriple, corpus,
                 continue
             (i, p), (j, q) = facts
             done += 1
-            if not a.equal(a.compose(p, i), f) or not a.equal(a.compose(q, j), f):
+            if a.compose(p, i) != f or a.compose(q, j) != f:
                 fail = (f, "composite mismatch")
                 break
             if not (triple.cof(i) and triple.acyclic_fib(p)):

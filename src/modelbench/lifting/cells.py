@@ -1,26 +1,27 @@
 """Bounded cell complexes and the staged small-object factorization.
 
 Transfinite composition is truncated at finitely many stages; each stage is
-a pushout of a coproduct of generating morphisms supplied by the ambient.
+a pushout of a coproduct of generating functors, attached by
+`catmodel.CatAmbient.attach_cells`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CellComplexWitness, CellStage
+from ..fincat import Functor
+from ..fincat.core import identity_functor
+from .core import CellStage
 
 
 def cell_step(a, obj, attachments) -> CellStage:
     """One pushout stage.  `attachments` is a list of (generator, attach)
-    with attach: dom(generator) -> obj.  The returned stage carries the
+    with attach: generator.source -> obj.  The returned stage carries the
     inclusion obj -> result and the pushed-forward cell maps, and the
     defining squares are re-checked to commute."""
     result, inclusion, cell_maps = a.attach_cells(obj, attachments)
     for (gen, att), cmap in zip(attachments, cell_maps):
-        lhs = a.compose(cmap, gen)
-        rhs = a.compose(inclusion, att)
-        if not a.equal(lhs, rhs):
+        if a.compose(cmap, gen) != a.compose(inclusion, att):
             raise AssertionError("pushout square of a cell stage does not commute")
     return CellStage(generators=[g for (g, _) in attachments],
                      attachments=[t for (_, t) in attachments],
@@ -29,19 +30,20 @@ def cell_step(a, obj, attachments) -> CellStage:
 
 @dataclass
 class FactorizationResult:
-    """Outcome of the staged factorization f = p o i."""
+    """Outcome of the staged factorization f = p o i, with i the composite
+    of the stage inclusions."""
 
-    witness: CellComplexWitness
-    p: object
+    i: Functor
+    p: Functor
+    stages: list              # list of CellStage
     status: str               # "factored" | "partial" | "stuck"
-    stages_used: int
 
     @property
-    def i(self):
-        return self.witness.composite()
+    def stages_used(self) -> int:
+        return len(self.stages)
 
 
-def small_object_factorization(a, generators, f, max_stages=8) -> FactorizationResult:
+def small_object_factorization(a, generators, f, max_stages) -> FactorizationResult:
     """Stagewise factorization of the functor f through pushouts of
     generator cells, in the `CatAmbient` a.
 
@@ -54,11 +56,10 @@ def small_object_factorization(a, generators, f, max_stages=8) -> FactorizationR
     no square is left to attach, `partial` after `max_stages`.  A cell
     pushout that does not saturate to a finite category raises ValueError.
     """
-    source = a.dom(f)
     stages = []
+    i = None
     current = f
     status = "partial"
-    used = 0
     report = a.in_generators_perp(generators, current)
     if report.orthogonal:
         status = "factored"
@@ -68,22 +69,20 @@ def small_object_factorization(a, generators, f, max_stages=8) -> FactorizationR
             if not squares:
                 status = "stuck"
                 break
-            stage_obj = a.dom(current)
-            stage = cell_step(a, stage_obj, [(g, att) for (g, att, _b) in squares])
+            stage = cell_step(a, current.source, [(g, att) for (g, att, _b) in squares])
             nxt = a.induced_from_cells(stage, current, [b for (_g, _a, b) in squares])
-            if not a.equal(a.compose(nxt, stage.inclusion), current):
+            if a.compose(nxt, stage.inclusion) != current:
                 raise AssertionError("stage-induced map does not restrict to f_i")
             stages.append(stage)
+            i = stage.inclusion if i is None else a.compose(stage.inclusion, i)
             current = nxt
-            used += 1
             report = a.in_generators_perp(generators, current)
             if report.orthogonal:
                 status = "factored"
                 break
-    witness = CellComplexWitness(a, source, stages)
-    result = FactorizationResult(witness=witness, p=current, status=status,
-                                 stages_used=used)
+    result = FactorizationResult(i if i is not None else identity_functor(f.source),
+                                 current, stages, status)
     # composite of the tower followed by p must give back f
-    if not a.equal(a.compose(result.p, result.i), f):
+    if a.compose(result.p, result.i) != f:
         raise AssertionError("factorization does not recompose to f")
     return result

@@ -1,14 +1,15 @@
 """Squares, witnesses and the model triple of the lifting checkers.
 
-The checkers run over one ambient, `catmodel.CatAmbient`: morphisms are
-functors, and it supplies equality, composition, identities, enumeration
-of the functors between two categories, int tables of composites, and the
-memoized orthogonality and section pairs.  A `Square` and its `LiftWitness`
-re-verify by composing functors; the other witnesses hold their ambient
-and re-verify against it alone.  `search.lifted_squares` builds the
-`Square`s of a pair (f, g) and decides which have a diagonal, which is all
-the checkers ask; `search.find_lifting` searches one given square for its
-diagonal, a witness that no checker builds.
+The checkers read functors directly: `f.source`, `f.target`,
+`identity_functor` and `==`.  `catmodel.CatAmbient` supplies only what it
+memoizes (the functors between two categories, int tables of composites,
+shared composites, the orthogonality and section pairs) and its cell
+operations.  Every witness holds functors alone and re-verifies by
+composing them with `Functor.then`, so a returned witness keeps no ambient
+alive.  `search.lifted_squares` builds the `Square`s of a pair (f, g) and
+decides which have a diagonal, which is all the checkers ask;
+`search.find_lifting` searches one given square for its diagonal, a witness
+that no checker builds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fincat import Functor
+from ..fincat.core import identity_functor
 
 
 @dataclass
@@ -50,22 +52,19 @@ class LiftWitness:
 class RetractWitness:
     """f is a retract of f2 via X -i-> X' -p-> X and Y -j-> Y' -q-> Y."""
 
-    ambient: object
-    f: object
-    f2: object
-    i: object
-    p: object
-    j: object
-    q: object
+    f: Functor
+    f2: Functor
+    i: Functor
+    p: Functor
+    j: Functor
+    q: Functor
 
     def verify(self) -> bool:
-        a = self.ambient
-        idx = a.identity(a.dom(self.f))
-        idy = a.identity(a.cod(self.f))
-        return (a.equal(a.compose(self.p, self.i), idx)
-                and a.equal(a.compose(self.q, self.j), idy)
-                and a.equal(a.compose(self.f2, self.i), a.compose(self.j, self.f))
-                and a.equal(a.compose(self.q, self.f2), a.compose(self.f, self.p)))
+        f, f2 = self.f, self.f2
+        return (self.i.then(self.p) == identity_functor(f.source)
+                and self.j.then(self.q) == identity_functor(f.target)
+                and self.i.then(f2) == f.then(self.j)
+                and f2.then(self.q) == self.p.then(f))
 
 
 @dataclass
@@ -78,20 +77,6 @@ class CellStage:
     result: object
     inclusion: object
     cell_maps: list
-
-
-@dataclass
-class CellComplexWitness:
-    ambient: object
-    source: object
-    stages: list            # list of CellStage
-
-    def composite(self):
-        a = self.ambient
-        out = None
-        for st in self.stages:
-            out = st.inclusion if out is None else a.compose(st.inclusion, out)
-        return out if out is not None else a.identity(self.source)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Lifting, orthogonality and retract search over an ambient.
+"""Lifting, orthogonality and retract search over functors.
 
 A square from f: A -> B to g: X -> Y (top: A -> X, bottom: B -> Y with
 g o top = bottom o f) has a diagonal h: B -> X exactly when some h in
@@ -51,11 +51,11 @@ def lifted_squares(a, f, g):
     answers come from one set, built at the first commuting square: a
     square has a diagonal iff (id top, id bottom) is some
     (pre(f, X)[h], post(g, B)[h]), the ids of (h o f, g o h)."""
-    A, B, X = a.dom(f), a.cod(f), a.dom(g)
+    A, B, X, Y = f.source, f.target, g.source, g.target
     tops = a.morphisms_between(A, X)
-    bottoms = a.morphisms_between(B, a.cod(g))
+    bottoms = a.morphisms_between(B, Y)
     by_bf = {}
-    for k, bf in enumerate(a.pre(f, a.cod(g))):
+    for k, bf in enumerate(a.pre(f, Y)):
         by_bf.setdefault(bf, []).append(k)
     lifts = None
     for top, gt in zip(tops, a.post(g, A)):
@@ -84,7 +84,7 @@ def find_retract(a, f, f2) -> RetractWitness | None:
     the order of the ambient's memoized section pairs.  The two square
     conditions f2 o i == j o f and q o f2 == f o p compare ids from the
     `pre` and `post` tables, so no composite `Functor` is built."""
-    x, y, x2, y2 = a.dom(f), a.cod(f), a.dom(f2), a.cod(f2)
+    x, y, x2, y2 = f.source, f.target, f2.source, f2.target
     xs, ys = a.section_pairs(x, x2), a.section_pairs(y, y2)
     if not (xs and ys):
         return None
@@ -97,7 +97,7 @@ def find_retract(a, f, f2) -> RetractWitness | None:
         jq = first.get((f2i[i], fp[p]))
         if jq is not None:
             j, q = jq
-            return RetractWitness(a, f, f2,
+            return RetractWitness(f, f2,
                                   a.morphisms_between(x, x2)[i], a.morphisms_between(x2, x)[p],
                                   a.morphisms_between(y, y2)[j], a.morphisms_between(y2, y)[q])
     return None

@@ -15,7 +15,7 @@ from modelbench.complexes import (
     surj_quas_criteria,
     zero_complex,
 )
-from modelbench.linalg import mat_mul, nullspace, rank, transpose, zeros
+from modelbench.linalg import mat_mul, mat_vec, nullspace, rank, transpose, zeros
 
 
 def V():
@@ -196,7 +196,7 @@ def h_rank(f: ChainMap, n: int) -> int:
     """rank H^n(f) = rank[f Z^n(X) | d_Y^(n-1)] - rank d_Y^(n-1), the
     dimension of f(Z^n(X)) + B^n(Y) less that of B^n(Y)."""
     Y = f.target
-    cols = [f.apply(n, z) for z in cocycles(f.source, n)] + transpose(Y.diff(n - 1))
+    cols = [mat_vec(f.component(n), z) for z in cocycles(f.source, n)] + transpose(Y.diff(n - 1))
     return rank([[c[i] for c in cols] for i in range(Y.dim(n))]) - rank(Y.diff(n - 1))
 
 
@@ -207,7 +207,7 @@ def ref_c2(f: ChainMap):
     X, Y = f.source, f.target
     for n in X.degrees():
         zx, zy = cocycles(X, n), cocycles(Y, n)
-        imgs = [f.apply(n, z) for z in zx]
+        imgs = [mat_vec(f.component(n), z) for z in zx]
         if rank([[v[i] for v in imgs] for i in range(Y.dim(n))]) < len(zy):
             return False, ("Z-surjectivity", n)
         if len(zx) - h_rank(f, n) != rank(X.diff(n - 1)):

@@ -4,7 +4,9 @@ against the uncached routes on fresh ones; the table of diagonals of
 `lifted_squares`, through `is_orthogonal` and `attachment_squares`, against
 a diagonal search per square, also on categories with non-invertible
 endomorphisms; the ambient's int tables of composites and section index
-pairs against `Functor.then`; kept value hashes against cold copies;
+pairs against `Functor.then`, and the retract witnesses that re-verify by
+`Functor.then`, with one leg swapped or not, against the ambient's shared
+composites; kept value hashes against cold copies;
 `functors_with` against a filtered `enumerate_functors`, and through it the
 mediating maps of the cylinder pushout and cocylinder pullback checks
 against the scans over every functor they replaced, and the maps out of a
@@ -15,6 +17,7 @@ against the per-vector routes it replaced, and its c2 against the general
 rank formula for an injective H^n(f); and the fraction-free `rref`,
 with every reading taken from it, against Fraction Gauss-Jordan elimination."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -61,16 +64,26 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 def uncached_retract(a, f, f2):
     """The retract search without section-pair memo: every (i, p, j, q) in
     the same order as find_retract."""
-    x, y, x2, y2 = a.dom(f), a.cod(f), a.dom(f2), a.cod(f2)
+    x, y, x2, y2 = f.source, f.target, f2.source, f2.target
     sections = lambda u, v: [
         (i, p) for i in a.morphisms_between(u, v) for p in a.morphisms_between(v, u)
-        if a.equal(a.compose(p, i), a.identity(u))]
+        if a.compose(p, i) == identity_functor(u)]
     for (i, p) in sections(x, x2):
         for (j, q) in sections(y, y2):
-            if (a.equal(a.compose(f2, i), a.compose(j, f))
-                    and a.equal(a.compose(q, f2), a.compose(f, p))):
+            if a.compose(f2, i) == a.compose(j, f) and a.compose(q, f2) == a.compose(f, p):
                 return i, p, j, q
     return None
+
+
+def ref_retract_verify(a, w):
+    """The four retract equations of a witness through the ambient's shared
+    composites: the check that `RetractWitness.verify` did before it
+    composed the functors itself."""
+    f, f2 = w.f, w.f2
+    return (a.compose(w.p, w.i) == identity_functor(f.source)
+            and a.compose(w.q, w.j) == identity_functor(f.target)
+            and a.compose(f2, w.i) == a.compose(w.j, f)
+            and a.compose(w.q, f2) == a.compose(f, w.p))
 
 
 @SETTINGS
@@ -93,7 +106,34 @@ def test_memoized_find_retract_matches_uncached_search(f, f2):
         assert w is None
     else:
         assert w is not None and w.verify()
-        assert all(MEMO.equal(u, v) for u, v in zip((w.i, w.p, w.j, w.q), want))
+        assert (w.i, w.p, w.j, w.q) == want
+
+
+def test_retract_verify_matches_the_compose_route_on_the_axioms_corpus():
+    # every witness on ordered pairs of distinct functors, and every variant
+    # with one of i, p, j, q replaced by another functor of its Hom set
+    corpus = axioms_corpus()
+    assert len(corpus) == 105
+    a = CatAmbient()
+    witnesses = variants = rejected = 0
+    for f in corpus:
+        for f2 in corpus:
+            w = find_retract(a, f, f2) if f is not f2 else None
+            if w is None:
+                continue
+            witnesses += 1
+            assert w.verify() and ref_retract_verify(a, w)
+            for leg in ("i", "p", "j", "q"):
+                old = getattr(w, leg)
+                for other in a.morphisms_between(old.source, old.target):
+                    if other == old:
+                        continue
+                    v = dataclasses.replace(w, **{leg: other})
+                    got = v.verify()
+                    assert got == ref_retract_verify(a, v), (leg, v)
+                    variants += 1
+                    rejected += not got
+    assert (witnesses, variants, rejected) == (602, 4576, 4238)
 
 
 # -- lifting: one table of diagonals per pair against a search per square ----
@@ -101,13 +141,13 @@ def test_memoized_find_retract_matches_uncached_search(f, f2):
 def ref_squares(a, f, g):
     """Every commuting square from f to g, lexicographic in (top, bottom):
     the square enumerator that `lifted_squares` replaced."""
-    tops = a.morphisms_between(a.dom(f), a.dom(g))
-    bottoms = a.morphisms_between(a.cod(f), a.cod(g))
+    tops = a.morphisms_between(f.source, g.source)
+    bottoms = a.morphisms_between(f.target, g.target)
     bottoms_f = [(bottom, a.compose(bottom, f)) for bottom in bottoms]
     for top in tops:
         gt = a.compose(g, top)
         for bottom, bf in bottoms_f:
-            if a.equal(gt, bf):
+            if gt == bf:
                 yield Square(f, g, top, bottom)
 
 
