@@ -8,7 +8,8 @@ Subpackages and modules:
     linalg    -- exact linear algebra over the rationals
 
 Every decision procedure returns witnesses that can be re-verified by an
-independent brute-force or linear-algebra oracle.
+independent brute-force or linear-algebra route; those references are kept
+in `tests/oracles.py`, since no decision procedure calls them.
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ def k2_to_k1() -> Functor:
 
 
 def inc0() -> Functor:
-    """The endpoint inclusion of the unit category into the interval."""
+    """The endpoint inclusion 1 -> I: J, with no caller in src yet."""
     return Functor("inc0", unit_category(), interval_category(),
                    {"*": "0"}, {"id_*": "id_0"})
 

@@ -10,8 +10,9 @@ Only what a criterion reads is built: `cone` returns the cone's complex,
 whose differential is all that `is_quasi_iso` reads, and c2 reads ranks
 alone: Z^n(f) is onto when rank [d_X^n; f^n] - rank d_X^n = dim Z^n(Y), and
 then H^n(f) is injective exactly when dim H^n(X) = dim H^n(Y), so no
-cocycle or cohomology class is built.  `cohomology` and `cocycles` are the
-nullspace route that tests check the criteria against.
+cocycle or cohomology class is built.  `cohomology` and `cocycles`, the
+nullspace route that tests check the criteria against, stay for the
+benchmark's tracer; complexes only tests build are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fincat.core import ValidationReport
 from .linalg import (
     Mat,
     Vec,
@@ -32,12 +34,14 @@ from .linalg import (
 
 
 class Complex:
-    def __init__(self, window, dims, d, name=""):
+    def __init__(self, window, dims, d):
         self.lo, self.hi = int(window[0]), int(window[1])
         if self.lo > self.hi:
             raise ValueError("empty window")
-        self.name = name
         self.dims = {int(n): int(k) for n, k in dims.items() if k}
+        if self.dims and min(self.dims.values()) < 0:
+            n = min(n for n, k in self.dims.items() if k < 0)
+            raise ValueError(f"negative dimension of X^{n}")
         outside = sorted(n for n in self.dims if not self.lo <= n <= self.hi)
         if outside:
             raise ValueError(f"nonzero X^{outside[0]} outside window {self.window}")
@@ -69,7 +73,7 @@ class Complex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def validate(self):
+    def validate(self) -> ValidationReport:
         failures = []
         for n, m in self.d.items():
             rows, cols = len(m), len(m[0]) if m else 0
@@ -80,28 +84,18 @@ class Complex:
             prod = mat_mul(self.diff(n + 1), self.diff(n))
             if any(any(x for x in row) for row in prod):
                 failures.append(f"d^{n+1} d^{n} != 0")
-        return (not failures, failures)
+        return ValidationReport(not failures, failures)
 
     def __repr__(self):
-        return f"Complex({self.name!r}, window={self.window}, dims={self.dims})"
-
-
-def zero_complex(window) -> Complex:
-    return Complex(window, {}, {}, name="0")
-
-
-def stalk(n: int, window=None) -> Complex:
-    w = window or (n, n)
-    return Complex(w, {n: 1}, {}, name=f"K[{n}]")
+        return f"Complex(window={self.window}, dims={self.dims})"
 
 
 class ChainMap:
-    def __init__(self, source: Complex, target: Complex, components, name=""):
+    def __init__(self, source: Complex, target: Complex, components):
         if source.window != target.window:
             raise ValueError("chain maps require a shared window")
         self.source = source
         self.target = target
-        self.name = name
         self.components = {}
         for n, m in components.items():
             n = int(n)
@@ -116,7 +110,7 @@ class ChainMap:
             return m
         return zeros(self.target.dim(n), self.source.dim(n))
 
-    def validate(self):
+    def validate(self) -> ValidationReport:
         failures = []
         for n, m in self.components.items():
             rows = len(m)
@@ -135,13 +129,7 @@ class ChainMap:
                 continue
             if lhs != rhs:
                 failures.append(f"does not commute with d at degree {n}")
-        return (not failures, failures)
-
-
-def identity_chain_map(X: Complex) -> ChainMap:
-    comps = {n: [[Fraction(1 if i == j else 0) for j in range(X.dim(n))]
-                 for i in range(X.dim(n))] for n in X.degrees() if X.dim(n)}
-    return ChainMap(X, X, comps, name=f"id_{X.name}")
+        return ValidationReport(not failures, failures)
 
 
 # -- cohomology -----------------------------------------------------------
@@ -149,18 +137,21 @@ def identity_chain_map(X: Complex) -> ChainMap:
 
 @dataclass
 class CohomologySlice:
+    """What `cohomology` returns; kept with it."""
     degree: int
     h_dim: int                 # dim Z^n - rank d^(n-1)
     boundary_degree: bool      # slice sits at the window boundary
 
 
 def cocycles(X: Complex, n: int) -> list[Vec]:
+    """A basis of Z^n(X) = ker d^n; read by `cohomology` and by tests."""
     if X.dim(n) == 0:
         return []
     return nullspace(X.diff(n), width=X.dim(n))
 
 
 def cohomology(X: Complex, n: int) -> CohomologySlice:
+    """dim H^n(X) by nullspace; kept because the benchmark's tracer wraps it."""
     if not (X.lo <= n <= X.hi):
         raise ValueError(f"degree {n} outside window {X.window}")
     return CohomologySlice(degree=n, h_dim=len(cocycles(X, n)) - rank(X.diff(n - 1)),
@@ -184,7 +175,7 @@ def cone(f: ChainMap) -> Complex:
         pad = [Fraction(0)] * Y.dim(n)
         d[n] = ([dy[i] + fc[i] for i in range(Y.dim(n + 1))]
                 + [pad + [-x for x in dx[i]] for i in range(X.dim(n + 2))])
-    C = Complex((lo, hi), dims, d, name=f"Cone({f.name})")
+    C = Complex((lo, hi), dims, d)
     ok, failures = C.validate()
     if not ok:
         raise AssertionError(f"cone differential fails d^2 = 0: {failures}")

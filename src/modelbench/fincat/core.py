@@ -7,13 +7,14 @@ is literal.  Values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """The verdict of every `validate`; true exactly when ok."""
     ok: bool
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
     def __bool__(self):
         return self.ok
@@ -179,20 +180,6 @@ class FinCat:
 
     def is_iso(self, f) -> bool:
         return self.inverse_of(f) is not None
-
-    def isomorphic_objects(self, x, y) -> bool:
-        return any(self.is_iso(f) for f in self.hom(x, y))
-
-    def iso_classes_of_objects(self):
-        classes = []
-        seen = set()
-        for x in self.objects:
-            if x in seen:
-                continue
-            cls = [y for y in self.objects if self.isomorphic_objects(x, y) and self.isomorphic_objects(y, x)]
-            seen.update(cls)
-            classes.append(cls)
-        return classes
 
 
 class Functor:

@@ -12,10 +12,6 @@ def a2_quiver() -> Quiver:
     return Quiver("A2", ["1", "2"], [("alpha", "1", "2")])
 
 
-def jordan_quiver() -> Quiver:
-    return Quiver("Jordan", ["v"], [("alpha", "v", "v")])
-
-
 def a2_path_category():
     """P(A2), the free category on 1 -alpha-> 2, saturated from the A2
     quiver with no relations.  Its morphisms are [e_1], [e_2] and [alpha],

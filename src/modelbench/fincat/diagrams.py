@@ -442,21 +442,8 @@ def _category_from_closure(Q, reps, ends, path_class):
     return FinCat(Q.name, Q.vertices, mors, ident, comp)
 
 
-def span_shape() -> FinCat:
-    return free_category("span", ["s", "l", "r"], [("f", "s", "l"), ("g", "s", "r")])
-
-
 def parallel_pair_shape() -> FinCat:
     return free_category("pair", ["a", "b"], [("u", "a", "b"), ("v", "a", "b")])
-
-
-def pushout_diagram(F: Functor, G: Functor) -> CatDiagram:
-    """Diagram for the pushout of B <-F- A -G-> C."""
-    if F.source != G.source:
-        raise ValueError("pushout legs must share their source")
-    return CatDiagram("pushout", span_shape(),
-                      {"s": F.source, "l": F.target, "r": G.target},
-                      {"f": F, "g": G})
 
 
 def coequalizer_diagram(F: Functor, G: Functor) -> CatDiagram:

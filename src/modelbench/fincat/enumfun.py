@@ -1,8 +1,9 @@
 """Brute-force enumeration of functors and natural transformations.
 
-These enumerators are the oracle layer for everything else: lifting search,
-equivalence checks and homotopy decisions all reduce to them.  Results come
-back in a deterministic order (source order x target hom-list order).
+These enumerators are the search layer for everything else: lifting search,
+equivalence checks and homotopy decisions all reduce to them; the
+brute-force isomorphism and quasi-inverse searches are in `tests/oracles.py`.
+Results come back in a deterministic order (source order x target hom-list order).
 `functors_with` is the one search for functors with prescribed composites
 (w o a = b, p o w = u): mediating maps of pushouts and pullbacks, homotopies
 with given ends, and maps out of a cell stage.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import FinCat, Functor, NatTransf, identity_functor
+from .core import FinCat, Functor, NatTransf
 
 
 # Search nodes one enumeration may visit (an object or morphism image tried,
@@ -212,33 +213,3 @@ def natural_isos(F: Functor, G: Functor) -> NatTransf | None:
         return None
 
     return assign(0, {})
-
-
-def find_category_isomorphism(C: FinCat, D: FinCat):
-    """An isomorphism of categories C ~= D (bijective on objects and
-    morphisms), or None: the first such functor of `enumerate_functors`.
-    Categories with different object or morphism counts, or different hom
-    profiles, are told apart before any enumeration."""
-    if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
-        return None
-    homprofile = lambda E: sorted(
-        len(E.hom(x, y)) for x in E.objects for y in E.objects)
-    if homprofile(C) != homprofile(D):
-        return None
-    return next((F for F in enumerate_functors(C, D)
-                 if len(set(F.obj_map.values())) == len(D.objects)
-                 and len(set(F.mor_map.values())) == len(D.morphisms)), None)
-
-
-def find_quasi_inverse(F: Functor):
-    """A quasi-inverse (G, eta: GF => Id_C iso, eps: FG => Id_D iso), by
-    brute force.  Returns None when no candidate works."""
-    C, D = F.source, F.target
-    for G in enumerate_functors(D, C):
-        eps = natural_isos(G.then(F), identity_functor(D))
-        if eps is None:
-            continue
-        eta = natural_isos(F.then(G), identity_functor(C))
-        if eta is not None:
-            return G, eta, eps
-    return None

@@ -9,7 +9,8 @@ composing them with `Functor.then`, so a returned witness keeps no ambient
 alive.  `search.lifted_squares` builds the `Square`s of a pair (f, g) and
 decides which have a diagonal, which is all the checkers ask;
 `search.find_lifting` searches one given square for its diagonal, a witness
-that no checker builds.
+that no checker builds; it stays for the benchmark's tracer.  The
+constructive lifts of the existence proofs are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class CellStage:
 
 @dataclass
 class ModelTriple:
-    """Class membership tests for (Cof, We, Fib)."""
+    """Class membership tests for (Cof, We, Fib); `name` is for the benchmark."""
 
     cof: object
     we: object

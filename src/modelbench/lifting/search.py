@@ -14,7 +14,8 @@ from one pass over Hom(B, X) that records the image of this map, and
 retracts are compared through the ambient's int tables `pre` and `post` of
 composites, so no composite `Functor` is built.
 `find_lifting` finds the diagonal of one given square, a witness that no
-checker here asks for.
+checker here asks for; it stays for the benchmark's tracer, and the
+constructive lifts are test references in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class OrthogonalityResult:
 
 def find_lifting(a, square: Square) -> LiftWitness | None:
     """A verified diagonal for the square, or None after exhausting the
-    ambient's lift candidates."""
+    ambient's lift candidates.  Kept because the benchmark's tracer wraps it."""
     if not square.commutes():
         raise ValueError("square does not commute")
     for h in a.lift_candidates(square):

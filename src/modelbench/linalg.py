@@ -63,15 +63,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    m, n = shape(a)
-    if m == 0 or (n == 0 and len(v) == 0):
-        return [Fraction(0)] * m
-    if n != len(v):
-        raise ValueError("shape mismatch in mat_vec")
-    return [sum((a[i][k] * v[k] for k in range(n) if v[k]), Fraction(0)) for i in range(m)]
-
-
 def transpose(a: Mat) -> Mat:
     m, n = shape(a)
     return [[a[i][j] for i in range(m)] for j in range(n)]

@@ -21,6 +21,7 @@ from modelbench.fincat.enumfun import functors_with
 from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import a2_path_category, full_corpus
 from modelbench.lifting import is_orthogonal
+from oracles import pushout_diagram
 from test_fincat_core import automorphism_corpus
 
 
@@ -137,7 +138,7 @@ def pushout_over_empty():
     e = empty_category()
     f = Functor("e1", e, k_category(2), {}, {})
     g = Functor("e2", e, unit_category(), {}, {})
-    return diagrams.colimit_presentation(diagrams.pushout_diagram(f, g))
+    return diagrams.colimit_presentation(pushout_diagram(f, g))
 
 
 def test_saturate_past_class_budget_is_possibly_infinite(monkeypatch):

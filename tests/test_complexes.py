@@ -9,18 +9,17 @@ from modelbench.complexes import (
     cocycles,
     cohomology,
     cone,
-    identity_chain_map,
     is_quasi_iso,
-    stalk,
     surj_quas_criteria,
-    zero_complex,
 )
-from modelbench.linalg import mat_mul, mat_vec, nullspace, rank, transpose, zeros
+from modelbench.fincat import ValidationReport, interval_category
+from modelbench.linalg import mat_mul, nullspace, rank, transpose, zeros
+from oracles import identity_chain_map, mat_vec, stalk, zero_complex
 
 
 def V():
     # K t + K dt with |t| = 0: the contractible two-term complex
-    return Complex((-1, 1), {0: 1, 1: 1}, {0: [[1]]}, name="V")
+    return Complex((-1, 1), {0: 1, 1: 1}, {0: [[1]]})
 
 
 def h_dims(X):
@@ -262,6 +261,23 @@ def test_complex_rejects_data_outside_its_window():
     # zero data outside the window is the convention, not an error
     X = Complex((0, 1), {0: 1, 1: 1, 2: 0}, {0: [[1]], 1: [[0]]})
     assert X.validate() == (True, []) and h_dims(X) == {0: 0, 1: 0}
+
+
+def test_complex_rejects_a_negative_dimension():
+    # such a complex used to validate, and a chain map from it to the zero
+    # complex got c1 = c2 = False but c3 = True
+    with pytest.raises(ValueError, match="negative dimension of X\\^0"):
+        Complex((0, 0), {0: -1}, {})
+
+
+def test_validate_returns_one_verdict_type():
+    X = V()
+    f = identity_chain_map(X)
+    for report in (X.validate(), f.validate(), interval_category().validate()):
+        assert isinstance(report, ValidationReport) and report and report.failures == []
+    bad = ChainMap(X, X, {0: [[1]]}).validate()
+    assert isinstance(bad, ValidationReport) and not bad
+    assert bad == (False, ["does not commute with d at degree 0"])
 
 
 def test_section_condition_ranges():

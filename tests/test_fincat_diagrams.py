@@ -19,8 +19,8 @@ from modelbench.fincat.diagrams import (
     coequalizer_diagram,
     colimit,
     colimit_presentation,
-    pushout_diagram,
 )
+from oracles import pushout_diagram
 
 
 def unit_into(C, obj, name=None):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import modelbench
 
@@ -45,6 +46,49 @@ def test_every_top_level_import_is_read():
     assert [u for p in paths for u in _unread_imports(p)] == []
 
 
+# src definitions that nothing in src reads and the benchmark does not name,
+# each with the reason it ships.  References that only tests use live in
+# tests/oracles.py.
+UNREACHED_ALLOWED = {
+    "inc0": "the generating acyclic cofibration J = {inc0} of the small "
+            "object argument, exported for callers of small_object_factorization",
+}
+
+
+def _definitions(tree):
+    """The names of every function, class and method in a module, dunders
+    left out."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _read_names(tree):
+    """Every name the module reads, as a bare name or as an attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def _unreached_definitions(src, bench):
+    """The definitions under `src` that no non-`__init__` module there reads
+    and that no `bench/*.py` file names as a whole word."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(pathlib.Path(src).rglob("*.py"))}
+    read = set().union(*(_read_names(t) for p, t in trees.items() if p.name != "__init__.py"))
+    bench_text = "\n".join(p.read_text() for p in sorted(pathlib.Path(bench).glob("*.py")))
+    return sorted({name for tree in trees.values() for name in _definitions(tree)
+                   if name not in read
+                   and not re.search(rf"\b{re.escape(name)}\b", bench_text)})
+
+
+def test_every_src_definition_is_reached():
+    src = pathlib.Path(modelbench.__path__[0])
+    bench = src.parents[1] / "perfbench"
+    assert len(list(bench.glob("*.py"))) > 2
+    unreached = _unreached_definitions(src, bench)
+    assert [n for n in unreached if n not in UNREACHED_ALLOWED] == []
+    assert sorted(UNREACHED_ALLOWED) == unreached
+
+
 def test_every_exported_name_resolves():
     packages = ["modelbench"] + _module_names()
     missing = []
@@ -61,7 +105,7 @@ def test_every_exported_name_resolves():
 
 # Defaulted parameters plus dataclass field defaults in src/modelbench.  A
 # change that adds a knob raises this number in its own diff.
-MAX_OPTIONS = 21
+MAX_OPTIONS = 17
 
 
 def _is_dataclass(node):

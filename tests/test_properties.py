@@ -36,7 +36,7 @@ from modelbench.fincat import CatPresentation, FinCat, Functor, diagrams, enumer
 from modelbench.fincat.diagrams import SaturationResult
 from modelbench.fincat.quivers import Quiver
 from modelbench.fincat.core import identity_functor
-from modelbench.fincat.corpus import base_corpus, full_corpus, jordan_quiver
+from modelbench.fincat.corpus import base_corpus, full_corpus
 from modelbench.fincat.enumfun import forced_images, functors_with, natural_isos
 from modelbench.complexes import (
     cohomology,
@@ -45,9 +45,10 @@ from modelbench.complexes import (
     section_condition,
     surj_quas_criteria,
 )
-from modelbench.linalg import mat_vec, nullspace, rank, rref, shape, solve
+from modelbench.linalg import nullspace, rank, rref, shape, solve
 from modelbench.lifting import (Square, find_lifting, find_retract, is_orthogonal,
                                 lifted_squares, small_object_factorization)
+from oracles import jordan_quiver, mat_vec
 from test_catmodel import axioms_corpus
 from test_complexes import random_bounded_chain_map, ref_c2
 

@@ -21,6 +21,7 @@ from modelbench.fincat import FinCat, Functor, GuardExceeded, enumerate_functors
 from modelbench.fincat.build import induced_category, induced_mor, product
 from modelbench.fincat.core import ValidationReport, identity_functor
 from modelbench.fincat.corpus import full_corpus
+from oracles import isomorphic_objects
 from test_catmodel import axioms_corpus
 from test_fincat_core import automorphism_corpus
 from test_properties import idempotent_category, retraction_category
@@ -194,7 +195,7 @@ def ref_flags(F):
     faithful = all(len({F.mor_map[f] for f in C.hom(x, y)}) == len(C.hom(x, y))
                    for x in C.objects for y in C.objects)
     image = [F.obj_map[x] for x in C.objects]
-    dense = all(any(D.isomorphic_objects(i, y) for i in image) for y in D.objects)
+    dense = all(any(isomorphic_objects(D, i, y) for i in image) for y in D.objects)
     isofibration = all(
         any(C.is_iso(h) and F.mor_map[h] == g for c2 in C.objects for h in C.hom(c, c2))
         for c in C.objects for d in D.objects
