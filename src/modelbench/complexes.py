@@ -6,11 +6,15 @@ nonzero ones), so every rank statement below is exact.  Degrees lo and hi
 are still flagged on cohomology output: when the data is a truncation of
 something larger those slices are not trustworthy.
 
-Only what a criterion reads is built: `cone` returns the cone's complex,
-whose differential is all that `is_quasi_iso` reads, and c2 reads ranks
-alone: Z^n(f) is onto when rank [d_X^n; f^n] - rank d_X^n = dim Z^n(Y), and
-then H^n(f) is injective exactly when dim H^n(X) = dim H^n(Y), so no
-cocycle or cohomology class is built.  `cohomology` and `cocycles`, the
+Only what a criterion reads is built.  c1 reads the cone's differential as
+`_cone_differentials` makes it: each d_C^n once, as integer rows over one
+common denominator, checked for d_C^2 = 0 and ranked as ints (a nonzero
+scalar keeps ranks and the zero pattern of products), so no Fraction is
+built for it; `cone`, the public constructor, divides those rows back into
+a Complex.  c2 reads ranks alone: Z^n(f) is onto when
+rank [d_X^n; f^n] - rank d_X^n = dim Z^n(Y), and then H^n(f) is injective
+exactly when dim H^n(X) = dim H^n(Y), so no cocycle or cohomology class is
+built.  `cohomology` and `cocycles`, the
 nullspace route that tests check the criteria against, stay for the
 benchmark's tracer; complexes only tests build are in `tests/oracles.py`.
 """
@@ -19,11 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .fincat.core import ValidationReport
 from .linalg import (
     Mat,
     Vec,
+    _integer_rows,
+    _is_zero_product,
     frac,
     mat_mul,
     nullspace,
@@ -74,15 +81,18 @@ class Complex:
         return range(self.lo, self.hi + 1)
 
     def validate(self) -> ValidationReport:
-        failures = []
+        """Shapes, then d^(n+1) d^n = 0 wherever both factors are stored and
+        well shaped (an absent differential is zero)."""
+        failures, d = [], dict(self.d)
         for n, m in self.d.items():
-            rows, cols = len(m), len(m[0]) if m else 0
-            if (rows, cols) != (self.dim(n + 1), self.dim(n)) and m:
+            rows, cols = len(m), len(m[0])
+            if (rows, cols) != (self.dim(n + 1), self.dim(n)):
                 failures.append(f"d^{n} has shape {rows}x{cols}, "
                                 f"expected {self.dim(n+1)}x{self.dim(n)}")
+                del d[n]
         for n in range(self.lo, self.hi - 1):
-            prod = mat_mul(self.diff(n + 1), self.diff(n))
-            if any(any(x for x in row) for row in prod):
+            if n in d and n + 1 in d and not _is_zero_product(
+                    _integer_rows(d[n + 1], None)[0], _integer_rows(zip(*d[n]), None)[0]):
                 failures.append(f"d^{n+1} d^{n} != 0")
         return ValidationReport(not failures, failures)
 
@@ -111,22 +121,20 @@ class ChainMap:
         return zeros(self.target.dim(n), self.source.dim(n))
 
     def validate(self) -> ValidationReport:
-        failures = []
-        for n, m in self.components.items():
-            rows = len(m)
-            cols = len(m[0]) if m else 0
-            if m and (rows, cols) != (self.target.dim(n), self.source.dim(n)):
+        """Shapes, then d_Y^n f^n = f^(n+1) d_X^n where both components are
+        well shaped; a product with an absent factor is zero, not formed."""
+        failures, bad = [], set()
+        f, X, Y = self.components, self.source, self.target
+        for n, m in f.items():
+            if (len(m), len(m[0])) != (Y.dim(n), X.dim(n)):
                 failures.append(f"component {n} has wrong shape")
-        lo, hi = self.source.window
-        for n in range(lo, hi):
-            lhs = mat_mul(self.target.diff(n), self.component(n))
-            rhs = mat_mul(self.component(n + 1), self.source.diff(n))
-            # zero maps through zero spaces may come back with degenerate
-            # widths; all-zero matrices are equal regardless of shape
-            zl = all(not x for row in lhs for x in row)
-            zr = all(not x for row in rhs for x in row)
-            if (zl and zr):
+                bad.add(n)
+        for n in range(X.lo, X.hi):
+            if n in bad or n + 1 in bad:
                 continue
+            zero = zeros(Y.dim(n + 1), X.dim(n))
+            lhs = mat_mul(Y.d[n], f[n]) if n in Y.d and n in f else zero
+            rhs = mat_mul(f[n + 1], X.d[n]) if n + 1 in f and n in X.d else zero
             if lhs != rhs:
                 failures.append(f"does not commute with d at degree {n}")
         return ValidationReport(not failures, failures)
@@ -161,25 +169,41 @@ def cohomology(X: Complex, n: int) -> CohomologySlice:
 # -- cones --------------------------------------------------------------------
 
 
+def _cone_differentials(f: ChainMap) -> dict[int, tuple[list[list[int]], int]]:
+    """{n: (den * d_C^n as integer rows, den)} for each differential
+    d_C^n = [[d_Y^n, f^(n+1)], [0, -d_X^(n+1)]] of Cone(f) = Y + Sigma(X)
+    with a stored block, den the lcm of its denominators; checked for
+    d_C^(n+1) d_C^n = 0, which holds exactly when X and Y are complexes and
+    f is a chain map."""
+    X, Y = f.source, f.target
+
+    def ints(m, rows, cols, den):      # den * m, or the zero rows x cols
+        return _integer_rows(m, den)[0] if m else [[0] * cols for _ in range(rows)]
+
+    d = {}
+    for n in range(Y.lo - 1, Y.hi):
+        dy, fc, dx = blocks = Y.d.get(n), f.components.get(n + 1), X.d.get(n + 1)
+        if not any(blocks):
+            continue
+        den = lcm(*[x.denominator for m in blocks if m for row in m for x in row])
+        top = zip(ints(dy, Y.dim(n + 1), Y.dim(n), den),
+                  ints(fc, Y.dim(n + 1), X.dim(n + 1), den))
+        bottom = ints(dx, X.dim(n + 2), X.dim(n + 1), -den)
+        d[n] = [y + z for y, z in top] + [[0] * Y.dim(n) + x for x in bottom], den
+    for n in d:
+        if n + 1 in d and not _is_zero_product(d[n + 1][0], list(zip(*d[n][0]))):
+            raise AssertionError(f"cone differential fails d^2 = 0 at degree {n}")
+    return d
+
+
 def cone(f: ChainMap) -> Complex:
     """Cone(f) = Y + Sigma(X), where Sigma(X)^n = X^{n+1}, with differential
     [[d_Y, f^{n+1}], [0, -d_X]]; checked for d^2 = 0."""
     X, Y = f.source, f.target
     lo, hi = Y.lo - 1, Y.hi
-    dims = {}
-    for n in range(lo, hi + 1):
-        dims[n] = Y.dim(n) + X.dim(n + 1)
-    d = {}
-    for n in range(lo, hi):
-        dy, fc, dx = Y.diff(n), f.component(n + 1), X.diff(n + 1)
-        pad = [Fraction(0)] * Y.dim(n)
-        d[n] = ([dy[i] + fc[i] for i in range(Y.dim(n + 1))]
-                + [pad + [-x for x in dx[i]] for i in range(X.dim(n + 2))])
-    C = Complex((lo, hi), dims, d)
-    ok, failures = C.validate()
-    if not ok:
-        raise AssertionError(f"cone differential fails d^2 = 0: {failures}")
-    return C
+    return Complex((lo, hi), {n: Y.dim(n) + X.dim(n + 1) for n in range(lo, hi + 1)},
+                   {n: [[Fraction(x, den) for x in row] for row in rows]
+                    for n, (rows, den) in _cone_differentials(f).items()})
 
 
 # -- surjective quasi-isomorphism criteria ----------------------------------
@@ -195,13 +219,14 @@ def is_surjective(f: ChainMap) -> bool:
 def is_quasi_iso(f: ChainMap) -> bool:
     """Quasi-isomorphism via acyclicity of C = cone(f) in every degree, from
     h^n(C) = dim C^n - rank d^n - rank d^(n-1).  Only the cone's differential
-    is read: each d^n is ranked once, in degree order, stopping at the first
-    nonzero h^n."""
-    C = cone(f)
-    rank_prev = 0           # the complex vanishes outside its window
-    for n in C.degrees():
-        rank_n = rank(C.d[n]) if n in C.d else 0
-        if C.dim(n) - rank_n - rank_prev:
+    is read, as the integer rows of `_cone_differentials`: each d^n is ranked
+    once, in degree order, stopping at the first nonzero h^n."""
+    X, Y = f.source, f.target
+    d = _cone_differentials(f)
+    rank_prev = 0           # the cone vanishes outside [Y.lo - 1, Y.hi]
+    for n in range(Y.lo - 1, Y.hi + 1):
+        rank_n = rank(d[n][0]) if n in d else 0
+        if Y.dim(n) + X.dim(n + 1) - rank_n - rank_prev:
             return False
         rank_prev = rank_n
     return True

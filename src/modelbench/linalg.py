@@ -6,27 +6,33 @@ pivots are chosen left to right, candidate rows top to bottom.
 `_integer_rref` is the only reduction; callers with several questions about
 one matrix ask them in one call (`solve` takes every right-hand side at
 once) so the matrix is reduced once, not once per vector.  `rref` divides
-the reduced rows into Fractions; `rank` reads only the pivots and builds
-no Fraction.
+the reduced rows into Fractions, `nullspace` divides only the entries of
+its basis, and `rank` reads only the pivots and builds no Fraction.
 
-The reduction eliminates fraction-free over Python ints (Bareiss 1968,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22): each row is cleared of denominators, every
-update is divided exactly by the previous pivot, and `rref` divides the
-result by one common pivot at the end.  So a Fraction, with its gcd, is
-built once per nonzero entry of the answer, not after every arithmetic
-operation.  Every answer entry is a Fraction.
+Arithmetic runs on Python ints.  `_integer_rows` scales each row clear of
+its denominators (or every row by one common denominator); the reduction,
+`mat_mul` and the callers of the zero-product test `_is_zero_product` start
+from it.  Nonzero row and column scalings keep the zero pattern of a
+product, and `mat_mul` divides each nonzero integer dot product back into a
+Fraction.  The reduction is fraction-free (Bareiss 1968, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22): every update is divided exactly by the previous pivot, and
+`rref` divides the result by one common pivot at the end.  So a Fraction,
+with its gcd, is built once per nonzero entry of the answer, not after every
+arithmetic operation.  Every answer entry is a Fraction; inputs may hold
+ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
-_ZERO = Fraction(0)     # Fractions are immutable, so `rref` shares this one
+_ZERO = Fraction(0)     # Fractions are immutable, so every zero entry is this one
 
 
 def frac(x) -> Fraction:
@@ -34,11 +40,24 @@ def frac(x) -> Fraction:
 
 
 def zeros(m: int, n: int) -> Mat:
-    return [[Fraction(0)] * n for _ in range(m)]
+    return [[_ZERO] * n for _ in range(m)]
 
 
 def shape(a: Mat) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
+
+
+def _integer_rows(a: Mat, den: int | None) -> tuple[list[list[int]], list[int]]:
+    """The rows of `a` as ints, with the factor each was scaled by: `den`, a
+    common multiple of every denominator in `a` (negative ones too), or with
+    den None the lcm of the row's own denominators."""
+    rows, dens = [], []
+    for xs in a:
+        e = den or lcm(*[x.denominator for x in xs])
+        rows.append([x.numerator * (e // x.denominator) for x in xs] if e != 1
+                    else [x.numerator for x in xs])
+        dens.append(e)
+    return rows, dens
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -46,21 +65,19 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     mb, nb = shape(b)
     if ma == 0 or (na == 0 and mb == 0):
         # width information is erased on empty matrices; trust the caller
-        return [[Fraction(0)] * nb for _ in range(ma)]
+        return zeros(ma, nb)
     if na != mb:
         raise ValueError(f"shape mismatch {ma}x{na} * {mb}x{nb}")
-    out = zeros(ma, nb)
-    for i in range(ma):
-        arow = a[i]
-        orow = out[i]
-        for k in range(na):
-            x = arow[k]
-            if x:
-                brow = b[k]
-                for j in range(nb):
-                    if brow[j]:
-                        orow[j] += x * brow[j]
-    return out
+    ra, da = _integer_rows(a, None)
+    cb, db = _integer_rows(zip(*b), None)
+    return [[Fraction(s, d * e) if (s := sum(map(mul, r, c))) else _ZERO
+             for c, e in zip(cb, db)] for r, d in zip(ra, da)]
+
+
+def _is_zero_product(rows: list[list[int]], cols: list[list[int]]) -> bool:
+    """Whether a b = 0, from the rows of a and the columns of b as ints, each
+    row and column scaled by any nonzero factor (as `_integer_rows` does)."""
+    return not any(sum(map(mul, r, c)) for r in rows for c in cols)
 
 
 def transpose(a: Mat) -> Mat:
@@ -81,11 +98,7 @@ def _integer_rref(a: Mat) -> tuple[list[list[int]], list[int], int]:
     end every pivot entry equals the last pivot d.  Callers that read only
     the pivots stop here and build no Fraction."""
     m, n = shape(a)
-    r = []
-    for xs in a:
-        den = lcm(*[x.denominator for x in xs])
-        r.append([x.numerator * (den // x.denominator) for x in xs] if den != 1
-                 else [x.numerator for x in xs])
+    r = _integer_rows(a, None)[0]
     pivots: list[int] = []
     prev = 1
     row = 0
@@ -128,20 +141,21 @@ def rank(a: Mat) -> int:
 
 
 def nullspace(a: Mat, width: int | None = None) -> list[Vec]:
-    """Basis of {v : a v = 0}, one vector per free column, deterministic.
+    """Basis of {v : a v = 0}, one vector per free column, deterministic,
+    read from `_integer_rref`: v_j = 1 and v at pivot i is -r_ij / d.
     `width` pins the variable count when `a` has no rows."""
     m, n = shape(a)
     if m == 0:
         n = width if width is not None else n
         return [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-    r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
+    r, pivots, d = _integer_rref(a)
     basis = []
-    for j in free:
-        v = [Fraction(0)] * n
+    for j in (j for j in range(n) if j not in pivots):
+        v = [_ZERO] * n
         v[j] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -r[i][j]
+            if r[i][j]:
+                v[pc] = Fraction(-r[i][j], d)
         basis.append(v)
     return basis
 

@@ -4,8 +4,10 @@ No decision procedure in `modelbench` calls these, and the benchmark does
 not name them, so they live with the tests: the constructive lifts that
 mirror the existence proofs of the natural model structure, the brute-force
 isomorphism and quasi-inverse searches, object isomorphism classes, small
-complexes and chain maps, the pushout diagram, the Jordan quiver, a
-matrix-vector product, and the opposite of a category or functor.
+complexes and chain maps, a matrix-vector product, the Fraction routes of
+the matrix product and of the cone that the integer ones replaced, the
+pushout diagram, the Jordan quiver, and the opposite of a category or
+functor.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from modelbench.fincat.core import identity_functor
 from modelbench.fincat.diagrams import CatDiagram
 from modelbench.fincat.quivers import Quiver
 from modelbench.lifting import LiftWitness, Square
-from modelbench.linalg import Mat, Vec, shape
+from modelbench.linalg import Mat, Vec, rank, shape
 
 
 # -- constructive lifts ---------------------------------------------------
@@ -225,6 +227,52 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     if n != len(v):
         raise ValueError("shape mismatch in mat_vec")
     return [sum((a[i][k] * v[k] for k in range(n) if v[k]), Fraction(0)) for i in range(m)]
+
+
+def ref_mat_mul(a: Mat, b: Mat) -> Mat:
+    """The Fraction product that the integer `mat_mul` replaced: every
+    product entry is accumulated in Fraction arithmetic."""
+    ma, na = shape(a)
+    mb, nb = shape(b)
+    if ma == 0 or (na == 0 and mb == 0):
+        return [[Fraction(0)] * nb for _ in range(ma)]
+    if na != mb:
+        raise ValueError(f"shape mismatch {ma}x{na} * {mb}x{nb}")
+    out = [[Fraction(0)] * nb for _ in range(ma)]
+    for i in range(ma):
+        for k in range(na):
+            if a[i][k]:
+                for j in range(nb):
+                    if b[k][j]:
+                        out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def ref_cone(f: ChainMap) -> Complex:
+    """Cone(f) built in Fractions from padded blocks [[d_Y^n, f^(n+1)],
+    [0, -d_X^(n+1)]], with d^2 = 0 checked by `ref_mat_mul`: the
+    construction that the integer cone differential replaced."""
+    X, Y = f.source, f.target
+    lo, hi = Y.lo - 1, Y.hi
+    d = {}
+    for n in range(lo, hi):
+        dy, fc, dx = Y.diff(n), f.component(n + 1), X.diff(n + 1)
+        pad = [Fraction(0)] * Y.dim(n)
+        d[n] = ([dy[i] + fc[i] for i in range(Y.dim(n + 1))]
+                + [pad + [-x for x in dx[i]] for i in range(X.dim(n + 2))])
+    C = Complex((lo, hi), {n: Y.dim(n) + X.dim(n + 1) for n in range(lo, hi + 1)}, d)
+    for n in range(lo, hi - 1):
+        if any(any(row) for row in ref_mat_mul(C.diff(n + 1), C.diff(n))):
+            raise AssertionError(f"cone differential fails d^2 = 0 at degree {n}")
+    return C
+
+
+def ref_is_quasi_iso(f: ChainMap) -> bool:
+    """Acyclicity of `ref_cone(f)`, each differential ranked as a Fraction
+    matrix: h^n = dim C^n - rank d^n - rank d^(n-1) = 0 in every degree."""
+    C = ref_cone(f)
+    ranks = {n: rank(C.diff(n)) for n in range(C.lo - 1, C.hi + 1)}
+    return all(C.dim(n) == ranks[n] + ranks[n - 1] for n in C.degrees())
 
 
 # -- diagrams and quivers -------------------------------------------------

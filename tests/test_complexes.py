@@ -14,7 +14,7 @@ from modelbench.complexes import (
 )
 from modelbench.fincat import ValidationReport, interval_category
 from modelbench.linalg import mat_mul, nullspace, rank, transpose, zeros
-from oracles import identity_chain_map, mat_vec, stalk, zero_complex
+from oracles import identity_chain_map, mat_vec, ref_cone, ref_is_quasi_iso, stalk, zero_complex
 
 
 def V():
@@ -214,6 +214,13 @@ def ref_c2(f: ChainMap):
     return True, None
 
 
+def assert_same_complex(C, R):
+    assert (C.window, C.dims) == (R.window, R.dims)
+    for n in range(C.lo - 1, C.hi + 1):
+        assert C.diff(n) == R.diff(n), n
+        assert all(type(x) is Fraction for row in C.diff(n) for x in row), n
+
+
 def test_200_random_maps_three_criteria_agree():
     rng = random.Random(90127)
     seen_true = seen_false = 0
@@ -224,11 +231,23 @@ def test_200_random_maps_three_criteria_agree():
         rep = surj_quas_criteria(f)
         assert rep.all_equal(), (trial, rep)
         assert (rep.c2, rep.details["c2_failure"]) == ref_c2(f), trial
+        assert is_quasi_iso(f) == ref_is_quasi_iso(f), trial
+        assert_same_complex(cone(f), ref_cone(f))
         if rep.c1:
             seen_true += 1
         else:
             seen_false += 1
     assert seen_true > 0 and seen_false > 0
+
+
+def test_surjective_map_that_is_not_a_chain_map_is_refused():
+    # onto in both degrees, but d f^0 = 1 and f^1 d = 2
+    f = ChainMap(V(), V(), {0: [[1]], 1: [[2]]})
+    assert f.validate() == (False, ["does not commute with d at degree 0"])
+    with pytest.raises(AssertionError, match="d\\^2 = 0"):
+        surj_quas_criteria(f)
+    with pytest.raises(AssertionError, match="d\\^2 = 0"):
+        cone(f)
 
 
 def test_long_exact_sequence_rank_identity():
@@ -278,6 +297,14 @@ def test_validate_returns_one_verdict_type():
     bad = ChainMap(X, X, {0: [[1]]}).validate()
     assert isinstance(bad, ValidationReport) and not bad
     assert bad == (False, ["does not commute with d at degree 0"])
+
+
+def test_chain_map_reports_a_wrong_shaped_component():
+    # the products at degrees -1 and 0 read component 0, so they are skipped
+    assert ChainMap(V(), V(), {0: [[1, 1]]}).validate() == (
+        False, ["component 0 has wrong shape"])
+    assert ChainMap(V(), V(), {0: [[1]], 1: [[1], [1]]}).validate() == (
+        False, ["component 1 has wrong shape"])
 
 
 def test_section_condition_ranges():

@@ -39,18 +39,19 @@ from modelbench.fincat.core import identity_functor
 from modelbench.fincat.corpus import base_corpus, full_corpus
 from modelbench.fincat.enumfun import forced_images, functors_with, natural_isos
 from modelbench.complexes import (
+    Complex,
     cohomology,
     cone,
     is_quasi_iso,
     section_condition,
     surj_quas_criteria,
 )
-from modelbench.linalg import nullspace, rank, rref, shape, solve
+from modelbench.linalg import mat_mul, nullspace, rank, rref, shape, solve
 from modelbench.lifting import (Square, find_lifting, find_retract, is_orthogonal,
                                 lifted_squares, small_object_factorization)
-from oracles import jordan_quiver, mat_vec
+from oracles import jordan_quiver, mat_vec, ref_cone, ref_is_quasi_iso, ref_mat_mul
 from test_catmodel import axioms_corpus
-from test_complexes import random_bounded_chain_map, ref_c2
+from test_complexes import assert_same_complex, random_bounded_chain_map, ref_c2
 
 _CATS = list(base_corpus().values())
 FUNCTORS = [F for C in _CATS for D in _CATS for F in enumerate_functors(C, D)]
@@ -755,14 +756,17 @@ def ref_rref(a):
     return r, pivots
 
 
+entries = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)))
+
+
 @st.composite
-def rational_matrices(draw):
-    """Up to 6 x 7, no rows included, with integer and non-integer entries,
-    columns that are zero throughout, and rows that are zero or a
-    combination of two earlier rows."""
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
-    entry = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
-                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)))
+def rational_matrices(draw, rows=None):
+    """Up to 6 x 7, or `rows` x up to 7, no rows included, with integer and
+    non-integer entries, columns that are zero throughout, and rows that are
+    zero or a combination of two earlier rows."""
+    m = draw(st.integers(0, 6)) if rows is None else rows
+    n = draw(st.integers(0, 7))
     zero_cols = draw(st.sets(st.integers(0, n - 1))) if n else set()
     a = []
     for _ in range(m):
@@ -771,10 +775,10 @@ def rational_matrices(draw):
             row = [Fraction(0)] * n
         elif kind == "combination" and a:
             u, v = draw(st.sampled_from(a)), draw(st.sampled_from(a))
-            c, e = draw(entry), draw(entry)
+            c, e = draw(entries), draw(entries)
             row = [c * x + e * y for x, y in zip(u, v)]
         else:
-            row = [Fraction(0) if j in zero_cols else draw(entry) for j in range(n)]
+            row = [Fraction(0) if j in zero_cols else draw(entries) for j in range(n)]
         a.append(row)
     return a
 
@@ -785,9 +789,8 @@ def test_fraction_free_rref_matches_fraction_gauss_jordan(a):
     assert rref(a) == ref_rref(a)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(rational_matrices())
-def test_rank_and_nullspace_match_their_ref_rref_readings(a):
+def ref_nullspace(a):
+    """One basis vector of ker a per free column of `ref_rref(a)`."""
     r, pivots = ref_rref(a)
     n = shape(a)[1]
     basis = []
@@ -797,8 +800,47 @@ def test_rank_and_nullspace_match_their_ref_rref_readings(a):
         for i, pc in enumerate(pivots):
             v[pc] = -r[i][j]
         basis.append(v)
-    assert rank(a) == len(pivots)
-    assert nullspace(a) == basis
+    return basis
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_rank_and_nullspace_match_their_ref_rref_readings(a):
+    assert rank(a) == len(ref_rref(a)[1])
+    assert nullspace(a) == ref_nullspace(a)
+
+
+@st.composite
+def matrix_products(draw):
+    """(a, b) with as many rows in b as a has columns: b is drawn free, or
+    its columns are combinations of a basis of ker a, so that a b = 0 and
+    products through no rows or no columns arise."""
+    a = draw(rational_matrices())
+    n = shape(a)[1]
+    if draw(st.booleans()):
+        return a, draw(rational_matrices(rows=n))
+    kernel = ref_nullspace(a)
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        col = [Fraction(0)] * n
+        for v in kernel:
+            c = draw(entries)
+            col = [x + c * y for x, y in zip(col, v)]
+        cols.append(col)
+    return a, [[c[i] for c in cols] for i in range(n)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(matrix_products())
+def test_integer_products_match_the_fraction_product(pair):
+    a, b = pair
+    want = ref_mat_mul(a, b)
+    got = mat_mul(a, b)
+    assert got == want and all(type(x) is Fraction for row in got for x in row)
+    # d^1 = a after d^0 = b: validate decides a b = 0 by its zero-product test
+    X = Complex((0, 2), {0: shape(b)[1], 1: len(b), 2: len(a)}, {0: b, 1: a})
+    zero = not any(any(row) for row in want)
+    assert X.validate() == (zero, [] if zero else ["d^1 d^0 != 0"])
 
 
 # -- complexes: one reduction per matrix against one per vector -------------
@@ -891,6 +933,13 @@ def test_c2_matches_the_general_h_injectivity_formula(f):
 def test_rank_formula_quasi_iso_matches_cone_cohomology(f):
     C = cone(f)
     assert is_quasi_iso(f) == all(cohomology(C, n).h_dim == 0 for n in C.degrees())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain_maps)
+def test_integer_cone_matches_the_fraction_cone(f):
+    assert is_quasi_iso(f) == ref_is_quasi_iso(f)
+    assert_same_complex(cone(f), ref_cone(f))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
