@@ -4,20 +4,23 @@ isofibrations the fibrations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fincat import Functor
+from ..fincat.core import Record
 
 
-@dataclass
-class FunctorClassification:
-    injection: bool
-    equivalence: bool
-    isofibration: bool
-    full: bool
-    faithful: bool
-    dense: bool
-    surjective_on_objects: bool
+class FunctorClassification(Record):
+    __slots__ = ("injection", "equivalence", "isofibration", "full", "faithful", "dense",
+                 "surjective_on_objects")
+
+    def __init__(self, injection: bool, equivalence: bool, isofibration: bool, full: bool,
+                 faithful: bool, dense: bool, surjective_on_objects: bool):
+        self.injection = injection
+        self.equivalence = equivalence
+        self.isofibration = isofibration
+        self.full = full
+        self.faithful = faithful
+        self.dense = dense
+        self.surjective_on_objects = surjective_on_objects
 
     @property
     def acyclic_injection(self):

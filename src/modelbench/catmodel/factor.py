@@ -4,25 +4,26 @@ and Hom(I, D)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fincat import FinCat, Functor, NatTransf, enumerate_functors
 from ..fincat.build import induced_category, induced_mor
+from ..fincat.core import Record
 from ..fincat.enumfun import functors_with
 from .classify import classify
 from .homotopy import eta_to_cylinder_homotopy, eta_to_path_homotopy
 from .interval import cylinder, path_object, _iso_triples
 
 
-@dataclass
-class CylinderFactorization:
+class CylinderFactorization(Record):
     """F = p o j through the functor cylinder D' (objects src/C + tgt/D)."""
 
-    F: Functor
-    dprime: FinCat
-    j: Functor             # C -> D', an injection
-    p: Functor             # D' -> D, an acyclic isofibration
-    inc: Functor           # D -> D', the full inclusion of the target copy
+    __slots__ = ("F", "dprime", "j", "p", "inc")
+
+    def __init__(self, F: Functor, dprime: FinCat, j: Functor, p: Functor, inc: Functor):
+        self.F = F
+        self.dprime = dprime
+        self.j = j              # C -> D', an injection
+        self.p = p              # D' -> D, an acyclic isofibration
+        self.inc = inc          # D -> D', the full inclusion of the target copy
 
 
 def functor_cylinder_factorization(F: Functor) -> CylinderFactorization:
@@ -54,17 +55,20 @@ def functor_cylinder_factorization(F: Functor) -> CylinderFactorization:
     return CylinderFactorization(F, dprime, j, p, inc)
 
 
-@dataclass
-class CocylinderFactorization:
+class CocylinderFactorization(Record):
     """F = q o iota through the functor cocylinder C' of triples
     (C, alpha, D) with alpha: F(C) -> D an isomorphism."""
 
-    F: Functor
-    cprime: FinCat
-    iota: Functor          # C -> C', an acyclic injection
-    q: Functor             # C' -> D, an isofibration
-    pr1: Functor           # C' -> C
-    triple_data: dict
+    __slots__ = ("F", "cprime", "iota", "q", "pr1", "triple_data")
+
+    def __init__(self, F: Functor, cprime: FinCat, iota: Functor, q: Functor, pr1: Functor,
+                 triple_data: dict):
+        self.F = F
+        self.cprime = cprime
+        self.iota = iota        # C -> C', an acyclic injection
+        self.q = q              # C' -> D, an isofibration
+        self.pr1 = pr1          # C' -> C
+        self.triple_data = triple_data
 
 
 def functor_cocylinder_factorization(F: Functor) -> CocylinderFactorization:
@@ -87,11 +91,13 @@ def functor_cocylinder_factorization(F: Functor) -> CocylinderFactorization:
     return fac
 
 
-@dataclass
-class UniversalCheck:
-    ok: bool
-    cocones_checked: int
-    detail: str = ""
+class UniversalCheck(Record):
+    __slots__ = ("ok", "cocones_checked", "detail")
+
+    def __init__(self, ok: bool, cocones_checked: int, detail: str = ""):
+        self.ok = ok
+        self.cocones_checked = cocones_checked
+        self.detail = detail
 
 
 def _pushout_homotopy(F: Functor, fac: CylinderFactorization) -> Functor:

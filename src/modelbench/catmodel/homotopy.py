@@ -4,23 +4,26 @@ Hom(I, D)), plus Hom sets of the homotopy category."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
 
 from ..fincat import Functor, GuardExceeded, NatTransf, enumerate_functors, enumfun
 from ..fincat.build import induced_mor
+from ..fincat.core import Record
 from ..fincat.enumfun import functors_with, natural_isos
 from .interval import cylinder, path_object, _pair, _triple
 
 
-@dataclass
-class NatIsoDecision:
-    found: bool
-    eta: NatTransf | None
-    H: Functor | None       # cylinder homotopy C x I -> D
-    K: Functor | None       # path homotopy C -> Hom(I, D)
-    routes: tuple           # the three booleans, in the order above
+class NatIsoDecision(Record):
+    __slots__ = ("found", "eta", "H", "K", "routes")
+
+    def __init__(self, found: bool, eta: NatTransf | None, H: Functor | None,
+                 K: Functor | None, routes: tuple):
+        self.found = found
+        self.eta = eta
+        self.H = H              # cylinder homotopy C x I -> D
+        self.K = K              # path homotopy C -> Hom(I, D)
+        self.routes = routes    # the three booleans, in the order above
 
     @property
     def agree(self):

@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fincat import FinCat, Functor, coproduct, interval_category, product
 from ..fincat.build import _pair, induced_category, induced_mor
-from ..fincat.core import identity_functor
+from ..fincat.core import Record, identity_functor
 from .classify import classify
 
 
-@dataclass
-class CylinderDiagram:
-    base: FinCat
-    cyl: FinCat             # C x I
-    iota0: Functor
-    iota1: Functor
-    fold: Functor           # iota0 + iota1 : C + C -> C x I
-    pr: Functor             # C x I -> C
+class CylinderDiagram(Record):
+    __slots__ = ("base", "cyl", "iota0", "iota1", "fold", "pr")
+
+    def __init__(self, base: FinCat, cyl: FinCat, iota0: Functor, iota1: Functor,
+                 fold: Functor, pr: Functor):
+        self.base = base
+        self.cyl = cyl              # C x I
+        self.iota0 = iota0
+        self.iota1 = iota1
+        self.fold = fold            # iota0 + iota1 : C + C -> C x I
+        self.pr = pr                # C x I -> C
 
 
 def cylinder(C: FinCat) -> CylinderDiagram:
@@ -88,19 +89,22 @@ def _iso_triples(F: Functor, name: str) -> tuple[FinCat, dict, Functor, Functor,
     return cat, data, iota, pr1, q
 
 
-@dataclass
-class PathDiagram:
+class PathDiagram(Record):
     """Hom(I, D) as the category of triples (d0, alpha, d1) with alpha an
     isomorphism of D.  An arrow lies over a morphism f0: d0 -> e0 of D;
     its other leg is f1 = beta o f0 o alpha^-1, so p0 reads f0 and p1 f1."""
 
-    base: FinCat
-    path_cat: FinCat        # Hom(I, D)
-    const: Functor          # D -> Hom(I, D)
-    p0: Functor
-    p1: Functor
-    pairing: Functor        # Hom(I, D) -> D x D
-    triple_data: dict       # object -> (d0, alpha, d1)
+    __slots__ = ("base", "path_cat", "const", "p0", "p1", "pairing", "triple_data")
+
+    def __init__(self, base: FinCat, path_cat: FinCat, const: Functor, p0: Functor,
+                 p1: Functor, pairing: Functor, triple_data: dict):
+        self.base = base
+        self.path_cat = path_cat    # Hom(I, D)
+        self.const = const          # D -> Hom(I, D)
+        self.p0 = p0
+        self.p1 = p1
+        self.pairing = pairing      # Hom(I, D) -> D x D
+        self.triple_data = triple_data  # object -> (d0, alpha, d1)
 
 
 def path_object(D: FinCat) -> PathDiagram:

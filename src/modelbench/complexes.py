@@ -21,11 +21,10 @@ benchmark's tracer; complexes only tests build are in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .fincat.core import ValidationReport
+from .fincat.core import Record, ValidationReport
 from .linalg import (
     Mat,
     Vec,
@@ -143,12 +142,15 @@ class ChainMap:
 # -- cohomology -----------------------------------------------------------
 
 
-@dataclass
-class CohomologySlice:
+class CohomologySlice(Record):
     """What `cohomology` returns; kept with it."""
-    degree: int
-    h_dim: int                 # dim Z^n - rank d^(n-1)
-    boundary_degree: bool      # slice sits at the window boundary
+
+    __slots__ = ("degree", "h_dim", "boundary_degree")
+
+    def __init__(self, degree: int, h_dim: int, boundary_degree: bool):
+        self.degree = degree
+        self.h_dim = h_dim                      # dim Z^n - rank d^(n-1)
+        self.boundary_degree = boundary_degree  # slice sits at the window boundary
 
 
 def cocycles(X: Complex, n: int) -> list[Vec]:
@@ -255,12 +257,14 @@ def section_condition(f: ChainMap, n: int) -> tuple[bool, dict]:
     return (not unsolved, {"pairs": len(pairs), "unsolved": unsolved})
 
 
-@dataclass
-class SurjQuasReport:
-    c1: bool                  # surjective quasi-isomorphism
-    c2: bool                  # Z^n surjective and H^n injective, all n
-    c3: bool                  # section condition, all n
-    details: dict
+class SurjQuasReport(Record):
+    __slots__ = ("c1", "c2", "c3", "details")
+
+    def __init__(self, c1: bool, c2: bool, c3: bool, details: dict):
+        self.c1 = c1            # surjective quasi-isomorphism
+        self.c2 = c2            # Z^n surjective and H^n injective, all n
+        self.c3 = c3            # section condition, all n
+        self.details = details
 
     def all_equal(self):
         return self.c1 == self.c2 == self.c3

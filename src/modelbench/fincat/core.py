@@ -7,7 +7,6 @@ is literal.  Values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -20,8 +19,28 @@ class ValidationReport(NamedTuple):
         return self.ok
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Record:
+    """Base of the result records.  A record's fields are its `__slots__`,
+    set once by its own `__init__`, whose signature holds every default;
+    repr and value equality read the fields in slot order, and a record is
+    unhashable.  Records are plain classes, not dataclasses, so importing
+    the package generates no code (see `modelbench`)."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, s) for s in self.__slots__]
+                == [getattr(other, s) for s in self.__slots__])
+
+
+class Reflection(Record):
     """The reflection of a category onto a skeleton (Mac Lane, CWM IV.4).
 
     rep[x] is the first object isomorphic to x, and theta[x]: x -> rep[x]
@@ -30,10 +49,13 @@ class Reflection:
     the full subcategory of reps that is an equivalence.  auts[p] lists the
     automorphisms of each rep p, identity first."""
 
-    rep: dict
-    theta: dict
-    r: dict
-    auts: dict
+    __slots__ = ("rep", "theta", "r", "auts")
+
+    def __init__(self, rep: dict, theta: dict, r: dict, auts: dict):
+        self.rep = rep
+        self.theta = theta
+        self.r = r
+        self.auts = auts
 
 
 class FinCat:

@@ -15,10 +15,8 @@ is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .build import free_category
-from .core import FinCat, Functor, ValidationReport, identity_functor
+from .core import FinCat, Functor, Record, ValidationReport, identity_functor
 from .quivers import Quiver, path_name
 
 # Paths of length <= L of the presentation's quiver (not of its arrow
@@ -70,15 +68,18 @@ class CatDiagram:
         return ValidationReport(not failures, failures)
 
 
-@dataclass
-class CatPresentation:
+class CatPresentation(Record):
     """Category presented by a quiver with path relations; class quotients of
     colimits land here before saturation."""
 
-    quiver: Quiver
-    relations: list            # pairs of (src_vertex, arrows tuple)
-    object_class: dict = field(default_factory=dict)   # tagged object -> vertex
-    arrow_tag: dict = field(default_factory=dict)       # tagged morphism -> arrow
+    __slots__ = ("quiver", "relations", "object_class", "arrow_tag")
+
+    def __init__(self, quiver: Quiver, relations: list, object_class: dict | None = None,
+                 arrow_tag: dict | None = None):
+        self.quiver = quiver
+        self.relations = relations      # pairs of (src_vertex, arrows tuple)
+        self.object_class = {} if object_class is None else object_class  # tagged object -> vertex
+        self.arrow_tag = {} if arrow_tag is None else arrow_tag  # tagged morphism -> arrow
 
 
 def colimit_presentation(D: CatDiagram) -> CatPresentation:
@@ -134,16 +135,21 @@ def colimit_presentation(D: CatDiagram) -> CatPresentation:
         object_class={t: cls(*t) for t in tags}, arrow_tag=arrow_tag)
 
 
-@dataclass
-class SaturationResult:
-    status: str                      # "total", "possibly_infinite" or "census"
-    category: FinCat | None
-    class_count: int
-    explored_len: int                # the last horizon whose closure completed
-    class_reps: list = field(default_factory=list)
-    # path key -> class rep key, for every path of the quiver; only a
-    # "total" result builds it, a census reports the class reps alone
-    path_class: dict = field(default_factory=dict)
+class SaturationResult(Record):
+    __slots__ = ("status", "category", "class_count", "explored_len", "class_reps",
+                 "path_class")
+
+    def __init__(self, status: str, category: FinCat | None, class_count: int,
+                 explored_len: int, class_reps: list | None = None,
+                 path_class: dict | None = None):
+        self.status = status            # "total", "possibly_infinite" or "census"
+        self.category = category
+        self.class_count = class_count
+        self.explored_len = explored_len    # the last horizon whose closure completed
+        self.class_reps = [] if class_reps is None else class_reps
+        # path key -> class rep key, for every path of the quiver; only a
+        # "total" result builds it, a census reports the class reps alone
+        self.path_class = {} if path_class is None else path_class
 
     @property
     def total(self):

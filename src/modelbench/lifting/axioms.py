@@ -8,28 +8,31 @@ failures of Cof membership only when it happens to separate)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..fincat.core import identity_functor
+from ..fincat.core import Record, identity_functor
 from .core import ModelTriple
 from .search import find_retract
 
 
-@dataclass
-class AxiomReport:
-    axiom: str
-    status: str                  # "ok" | "fail" | "sampled"
-    detail: str = ""
-    counterexample: object = None
+class AxiomReport(Record):
+    __slots__ = ("axiom", "status", "detail", "counterexample")
+
+    def __init__(self, axiom: str, status: str, detail: str = "",
+                 counterexample: object = None):
+        self.axiom = axiom
+        self.status = status        # "ok" | "fail" | "sampled"
+        self.detail = detail
+        self.counterexample = counterexample
 
     @property
     def ok(self):
         return self.status in ("ok", "sampled")
 
 
-@dataclass
-class ModelAxiomReport:
-    entries: list = field(default_factory=list)
+class ModelAxiomReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries = []
 
     def add(self, *args, **kwargs):
         self.entries.append(AxiomReport(*args, **kwargs))

@@ -7,10 +7,8 @@ a pushout of a coproduct of generating functors, attached by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fincat import Functor
-from ..fincat.core import identity_functor
+from ..fincat.core import Record, identity_functor
 from .core import CellStage
 
 
@@ -28,15 +26,17 @@ def cell_step(a, obj, attachments) -> CellStage:
                      result=result, inclusion=inclusion, cell_maps=cell_maps)
 
 
-@dataclass
-class FactorizationResult:
+class FactorizationResult(Record):
     """Outcome of the staged factorization f = p o i, with i the composite
     of the stage inclusions."""
 
-    i: Functor
-    p: Functor
-    stages: list              # list of CellStage
-    status: str               # "factored" | "partial" | "stuck"
+    __slots__ = ("i", "p", "stages", "status")
+
+    def __init__(self, i: Functor, p: Functor, stages: list, status: str):
+        self.i = i
+        self.p = p
+        self.stages = stages        # list of CellStage
+        self.status = status        # "factored" | "partial" | "stuck"
 
     @property
     def stages_used(self) -> int:

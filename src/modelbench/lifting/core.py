@@ -15,22 +15,22 @@ constructive lifts of the existence proofs are in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fincat import Functor
-from ..fincat.core import identity_functor
+from ..fincat.core import Record, identity_functor
 
 
-@dataclass
-class Square:
+class Square(Record):
     """Commuting square of functors: right o top = bottom o left, with
     `left` the functor lifted against `right`.  It holds no ambient, so a
     square kept in an ambient's memo does not keep the ambient alive."""
 
-    left: Functor
-    right: Functor
-    top: Functor
-    bottom: Functor
+    __slots__ = ("left", "right", "top", "bottom")
+
+    def __init__(self, left: Functor, right: Functor, top: Functor, bottom: Functor):
+        self.left = left
+        self.right = right
+        self.top = top
+        self.bottom = bottom
 
     def commutes(self) -> bool:
         return self.top.then(self.right) == self.left.then(self.bottom)
@@ -40,25 +40,30 @@ class Square:
         return self.left.then(h) == self.top and h.then(self.right) == self.bottom
 
 
-@dataclass
-class LiftWitness:
-    square: Square
-    h: object
+class LiftWitness(Record):
+    __slots__ = ("square", "h")
+
+    def __init__(self, square: Square, h: object):
+        self.square = square
+        self.h = h
 
     def verify(self) -> bool:
         return self.square.commutes() and self.square.admits(self.h)
 
 
-@dataclass
-class RetractWitness:
+class RetractWitness(Record):
     """f is a retract of f2 via X -i-> X' -p-> X and Y -j-> Y' -q-> Y."""
 
-    f: Functor
-    f2: Functor
-    i: Functor
-    p: Functor
-    j: Functor
-    q: Functor
+    __slots__ = ("f", "f2", "i", "p", "j", "q")
+
+    def __init__(self, f: Functor, f2: Functor, i: Functor, p: Functor, j: Functor,
+                 q: Functor):
+        self.f = f
+        self.f2 = f2
+        self.i = i
+        self.p = p
+        self.j = j
+        self.q = q
 
     def verify(self) -> bool:
         f, f2 = self.f, self.f2
@@ -68,26 +73,31 @@ class RetractWitness:
                 and f2.then(self.q) == self.p.then(f))
 
 
-@dataclass
-class CellStage:
+class CellStage(Record):
     """One pushout stage: generators attached along maps into the current
     object, producing `inclusion` into the next object."""
 
-    generators: list
-    attachments: list
-    result: object
-    inclusion: object
-    cell_maps: list
+    __slots__ = ("generators", "attachments", "result", "inclusion", "cell_maps")
+
+    def __init__(self, generators: list, attachments: list, result: object,
+                 inclusion: object, cell_maps: list):
+        self.generators = generators
+        self.attachments = attachments
+        self.result = result
+        self.inclusion = inclusion
+        self.cell_maps = cell_maps
 
 
-@dataclass
-class ModelTriple:
+class ModelTriple(Record):
     """Class membership tests for (Cof, We, Fib); `name` is for the benchmark."""
 
-    cof: object
-    we: object
-    fib: object
-    name: str = "triple"
+    __slots__ = ("cof", "we", "fib", "name")
+
+    def __init__(self, cof: object, we: object, fib: object, name: str = "triple"):
+        self.cof = cof
+        self.we = we
+        self.fib = fib
+        self.name = name
 
     def acyclic_cof(self, f):
         return self.cof(f) and self.we(f)

@@ -20,16 +20,17 @@ constructive lifts are test references in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..fincat.core import Record
 from .core import LiftWitness, RetractWitness, Square
 
 
-@dataclass
-class OrthogonalityResult:
-    orthogonal: bool
-    counterexample: Square | None
-    squares_checked: int
+class OrthogonalityResult(Record):
+    __slots__ = ("orthogonal", "counterexample", "squares_checked")
+
+    def __init__(self, orthogonal: bool, counterexample: Square | None, squares_checked: int):
+        self.orthogonal = orthogonal
+        self.counterexample = counterexample
+        self.squares_checked = squares_checked
 
 
 def find_lifting(a, square: Square) -> LiftWitness | None:

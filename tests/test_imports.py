@@ -1,8 +1,11 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import modelbench
 
@@ -21,6 +24,24 @@ def test_every_module_imports():
             failures.append(f"{name}: {exc!r}")
     assert "modelbench.lifting.core" in names
     assert failures == []
+
+
+# The modules the benchmark's import probe loads.
+ENTRY_MODULES = ("modelbench.catmodel", "modelbench.lifting", "modelbench.complexes",
+                 "modelbench.fincat.diagrams")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are plain slotted classes: importing the package generates
+    # no code (see the `modelbench` docstring).  Only the modules the import
+    # adds count, so a Python whose startup loads either one passes
+    src = pathlib.Path(modelbench.__path__[0]).parent
+    code = ("import sys; before = set(sys.modules); import " + ", ".join(ENTRY_MODULES)
+            + "; print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
 
 
 def _unread_imports(path):

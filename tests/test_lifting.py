@@ -178,7 +178,7 @@ def test_model_axioms_small_corpus():
     corpus = small_corpus_functors()
     report = check_model_axioms(AMB, cat_triple(), corpus,
                                 factorizations=mc5_factorizations)
-    assert report.ok, [e.__dict__ for e in report.entries if not e.ok]
+    assert report.ok, [e for e in report.entries if not e.ok]
 
 
 def test_model_axioms_detect_broken_triple():

@@ -17,7 +17,6 @@ against the per-vector routes it replaced, and its c2 against the general
 rank formula for an injective H^n(f); and the fraction-free `rref`,
 with every reading taken from it, against Fraction Gauss-Jordan elimination."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -47,8 +46,8 @@ from modelbench.complexes import (
     surj_quas_criteria,
 )
 from modelbench.linalg import mat_mul, nullspace, rank, rref, shape, solve
-from modelbench.lifting import (Square, find_lifting, find_retract, is_orthogonal,
-                                lifted_squares, small_object_factorization)
+from modelbench.lifting import (RetractWitness, Square, find_lifting, find_retract,
+                                is_orthogonal, lifted_squares, small_object_factorization)
 from oracles import jordan_quiver, mat_vec, ref_cone, ref_is_quasi_iso, ref_mat_mul
 from test_catmodel import axioms_corpus
 from test_complexes import assert_same_complex, random_bounded_chain_map, ref_c2
@@ -125,12 +124,13 @@ def test_retract_verify_matches_the_compose_route_on_the_axioms_corpus():
                 continue
             witnesses += 1
             assert w.verify() and ref_retract_verify(a, w)
+            legs = {"f": w.f, "f2": w.f2, "i": w.i, "p": w.p, "j": w.j, "q": w.q}
             for leg in ("i", "p", "j", "q"):
                 old = getattr(w, leg)
                 for other in a.morphisms_between(old.source, old.target):
                     if other == old:
                         continue
-                    v = dataclasses.replace(w, **{leg: other})
+                    v = RetractWitness(**{**legs, leg: other})
                     got = v.verify()
                     assert got == ref_retract_verify(a, v), (leg, v)
                     variants += 1
